@@ -8,13 +8,4 @@ available offline), via ``pip install -e . --no-use-pep517``.
 
 from setuptools import setup
 
-setup(
-    extras_require={
-        # Optional native LP backend: enables the warm-started persistent
-        # HiGHS solver session (``repro.core.lpsession.HighsSession``,
-        # selected via ``--solver highs`` or resolved by ``auto``).  Without
-        # it the always-available SciPy ``linprog`` path answers every
-        # solve, byte-identically.
-        "highs": ["highspy>=1.7"],
-    },
-)
+setup()

@@ -11,11 +11,7 @@ compare against a committed baseline::
     python -m repro.bench.perfsmoke --programs 'C4B_*' rdwalk
     python -m repro.bench.perfsmoke --workers 4          # + parallel pass
     python -m repro.bench.perfsmoke --group all --escalation   # degree reuse
-    python -m repro.bench.perfsmoke --escalation --solver highs  # LP warm-start
     python -m repro.bench.perfsmoke --sampler          # sampler throughput
-    python -m repro.bench.perfsmoke --domain polyhedra   # other backend
-    python -m repro.bench.perfsmoke --compare-domains    # fm vs polyhedra
-    python -m repro.bench.perfsmoke --prefilter-compare  # interval tier gate
     python -m repro.bench.perfsmoke --chaos            # fault-recovery gate
     python -m repro.bench.perfsmoke --serve            # gateway load bench
     python -m repro.bench.perfsmoke --lint             # diagnostics sweep
@@ -31,6 +27,12 @@ sequential ``total_wall_seconds``, giving the speedup in one file.
 ``--check <baseline.json>`` exits non-zero when any program regressed by
 more than 25% wall time (and more than an absolute noise floor) against
 the baseline, which makes the runner usable as a CI gate.
+
+A run over the whole registry (``--group all``, no ``--programs`` or
+``--limit``) also gates the interval tier: it fails when the tier decides
+less than ``PREFILTER_MIN_HIT_RATE`` of the queries that reach it (the
+would-be exact-backend queries), read from the report's
+``entailment_cache.interval_hit_rate``.
 
 ``--sampler`` adds a sampler-throughput section: the rdwalk n=100 cost
 histogram (Figure 8 left, paper-scale run count) is sampled through both
@@ -58,14 +60,6 @@ underlying analysis and every storm client saw a byte-identical result.
 With ``--check``, hot-tier throughput is additionally gated against the
 baseline's.
 
-``--prefilter-compare`` adds an interval pre-filter section: the suite is
-re-timed cold twice -- interval tier (:mod:`repro.logic.intervals`) on and
-off -- recording per-tier hit counts, the interval-tier hit rate and the
-wall delta under ``prefilter_compare``, asserting bound identity between
-the legs.  The pass fails when the tier decides less than
-``PREFILTER_MIN_HIT_RATE`` of the queries that reach it (the would-be
-exact-backend queries).
-
 ``--lint`` adds a static-diagnostics sweep: every selected benchmark is
 linted through :func:`repro.lang.analysis.lint_program` exactly the way
 the analyzer's pre-flight gate does it (main parameters plus the declared
@@ -90,11 +84,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bench.registry import select_benchmarks
 from repro.bench.reporting import render_table
+from repro.core import solver  # noqa: F401  (scipy, imported before timing)
 from repro.core.analyzer import analyze_program
-from repro.core.lpsession import (force_cold_solves, resolve_solver_backend,
-                                  solver_choices)
-from repro.logic.entailment import (active_prefilter, available_domains,
-                                    get_engine, resolve_domain)
+from repro.logic.entailment import get_engine
 
 #: Default output path (repo root when invoked from a checkout).
 DEFAULT_OUTPUT = "BENCH_entailment.json"
@@ -110,21 +102,15 @@ REGRESSION_FLOOR_SECONDS = 0.05
 #: the gate meaningful without flaking on slow runners.
 SAMPLER_MIN_SPEEDUP = 5.0
 
-#: LP warm-starting gate: on the native ``highs`` backend the escalation
-#: pass's warm solve walls must beat the forced-cold reference solves by at
-#: least this factor.  Applied automatically only when the resolved solver
-#: is ``highs`` -- the SciPy fallback has no warm path, so its numbers are
-#: recorded without a floor.
-ESCALATION_MIN_SOLVE_SPEEDUP = 1.3
 #: The Figure 8 histogram run count (paper scale).
 SAMPLER_RUNS = 10_000
 
-#: Interval pre-filter gate: with ``--prefilter-compare``, the interval
-#: tier (:mod:`repro.logic.intervals`) must decide at least this fraction
-#: of the queries that fall through the memo and syntactic tiers -- i.e.
-#: of the queries that would otherwise hit the exact backend.  Measured
-#: well above this on the Table 1 suite; the floor keeps the tier honest
-#: without flaking on suite composition changes.
+#: Interval pre-filter gate: over the whole registry, the interval tier
+#: (:mod:`repro.logic.intervals`) must decide at least this fraction of
+#: the queries that fall through the memo and syntactic tiers -- i.e. of
+#: the queries that would otherwise hit the exact backend.  Measured well
+#: above this on the Table 1 suite (76.8%); the floor keeps the tier
+#: honest without flaking on suite composition changes.
 PREFILTER_MIN_HIT_RATE = 0.5
 
 #: Pre-flight lint gate: with ``--check``, the full static-diagnostics
@@ -163,10 +149,6 @@ def run_suite(group: str = "linear",
               escalation: bool = False,
               sampler: bool = False,
               sampler_runs: int = SAMPLER_RUNS,
-              domain: Optional[str] = None,
-              solver: Optional[str] = None,
-              compare_domains: bool = False,
-              prefilter_compare: bool = False,
               chaos: bool = False,
               serve: bool = False,
               lint: bool = False) -> Dict[str, object]:
@@ -180,21 +162,8 @@ def run_suite(group: str = "linear",
     through the incremental pipeline and once rebuilding each attempt from
     scratch, which quantifies the reuse win and asserts that escalated
     bounds are identical to the cold run's.
-
-    ``domain`` selects the abstract-domain backend timed by the main pass
-    (recorded as the report's ``domain`` field); ``solver`` the LP backend
-    selector (the *resolved* backend lands in the report's ``solver``
-    field); ``compare_domains=True`` re-times the suite's entailment load
-    once per registered backend and records the per-domain walls and engine
-    counters under ``domains``, asserting bound identity across backends
-    along the way; ``prefilter_compare=True`` re-times the suite cold with
-    the interval pre-filter tier on and off, recording per-tier hit
-    counts, the interval-tier hit rate and the wall delta under
-    ``prefilter`` (bounds asserted identical between the legs).
     """
-    domain = resolve_domain(domain)
-    resolved_solver = resolve_solver_backend(solver)
-    engine = get_engine(domain)
+    engine = get_engine()
     benchmarks = _select(group, programs, limit)
     rows: List[Dict[str, object]] = []
     suite_before = engine.stats.snapshot()
@@ -204,9 +173,7 @@ def run_suite(group: str = "linear",
         program = bench.build()
         before = engine.stats.snapshot()
         start = time.perf_counter()
-        result = analyze_program(program, **{**bench.analyzer_options,
-                                             "domain": domain,
-                                             "solver": solver})
+        result = analyze_program(program, **bench.analyzer_options)
         wall = time.perf_counter() - start
         delta = engine.stats.delta(before)
         answered = (delta["memo_hits"] + delta["fast_hits"]
@@ -246,38 +213,25 @@ def run_suite(group: str = "linear",
     suite_wall_parallel: Optional[float] = None
     parallel_speedup: Optional[float] = None
     if workers > 1:
-        suite_wall_parallel = _parallel_pass(benchmarks, rows, workers, domain)
+        suite_wall_parallel = _parallel_pass(benchmarks, rows, workers)
         if suite_wall_parallel > 0:
             parallel_speedup = round(total_wall / suite_wall_parallel, 2)
 
     escalation_summary: Optional[Dict[str, object]] = None
     if escalation:
-        escalation_summary = _escalation_pass(benchmarks, rows, domain,
-                                              solver=solver)
+        escalation_summary = _escalation_pass(benchmarks, rows)
 
     sampler_summary: Optional[Dict[str, object]] = None
     if sampler:
         sampler_summary = _sampler_pass(runs=sampler_runs)
 
-    domain_summary: Optional[Dict[str, object]] = None
-    if compare_domains:
-        domain_summary = _domain_comparison_pass(benchmarks)
-
-    prefilter_summary: Optional[Dict[str, object]] = None
-    if prefilter_compare:
-        prefilter_summary = _prefilter_comparison_pass(benchmarks, domain)
-
     chaos_summary: Optional[Dict[str, object]] = None
     if chaos:
-        chaos_summary = _chaos_pass(benchmarks,
-                                    workers=max(2, workers),
-                                    domain=domain)
+        chaos_summary = _chaos_pass(benchmarks, workers=max(2, workers))
 
     serve_summary: Optional[Dict[str, object]] = None
     if serve:
-        serve_summary = _serve_pass(benchmarks,
-                                    workers=max(2, workers),
-                                    domain=domain)
+        serve_summary = _serve_pass(benchmarks, workers=max(2, workers))
 
     lint_summary: Optional[Dict[str, object]] = None
     if lint:
@@ -290,17 +244,12 @@ def run_suite(group: str = "linear",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "domain": domain,
-        "solver": resolved_solver,
-        "prefilter": active_prefilter(),
         "workers": workers,
         "total_wall_seconds": round(total_wall, 3),
         "suite_wall_parallel": suite_wall_parallel,
         "parallel_speedup": parallel_speedup,
         "escalation": escalation_summary,
         "sampler": sampler_summary,
-        "domains": domain_summary,
-        "prefilter_compare": prefilter_summary,
         "chaos": chaos_summary,
         "serve": serve_summary,
         "lint": lint_summary,
@@ -311,12 +260,12 @@ def run_suite(group: str = "linear",
 
 
 def _parallel_pass(benchmarks, rows: List[Dict[str, object]],
-                   workers: int, domain: str) -> float:
+                   workers: int) -> float:
     """Re-run the suite through the scheduler; annotate rows, return wall."""
     from repro.service.jobs import job_from_benchmark
     from repro.service.scheduler import run_jobs
 
-    jobs = [job_from_benchmark(bench, domain=domain) for bench in benchmarks]
+    jobs = [job_from_benchmark(bench) for bench in benchmarks]
     start = time.perf_counter()
     results = run_jobs(jobs, workers=workers)
     wall = round(time.perf_counter() - start, 3)
@@ -331,52 +280,31 @@ def _parallel_pass(benchmarks, rows: List[Dict[str, object]],
     return wall
 
 
-def _escalation_pass(benchmarks, rows: List[Dict[str, object]],
-                     domain: str,
-                     solver: Optional[str] = None) -> Dict[str, object]:
+def _escalation_pass(benchmarks, rows: List[Dict[str, object]]
+                     ) -> Dict[str, object]:
     """Measure incremental vs rebuild degree escalation per benchmark.
 
     For every benchmark whose target degree is >= 2 the program is analyzed
     in escalation mode (``max_degree=1`` with auto-retry up to the target):
 
     * *incremental* -- one analysis; the retry extends the degree-1
-      derivation/LP in place (the pipeline of ``repro.core.pipeline``) and
-      the persistent LP session (``repro.core.lpsession``) warm-starts
-      every solve from the previous stage's simplex basis;
+      derivation/LP in place (the pipeline of ``repro.core.pipeline``);
     * *rebuild* -- what the analyzer did before the incremental pipeline:
       a full fresh analysis per attempted degree (degree 1, then the
-      target degree from scratch), run under
-      :func:`~repro.core.lpsession.force_cold_solves` so every LP goes
-      through the from-scratch ``linprog`` reference path.
-
-    The wall split separates build from solve: ``solve_wall_warm`` is the
-    incremental run's LP time (session-warm where the backend supports it)
-    and ``solve_wall_cold`` the rebuild runs' forced-cold LP time --
-    ``solve_speedup`` is the LP warm-starting win the
-    ``--escalation-min-solve-speedup`` gate enforces on the ``highs``
-    backend.  Session counters (``warm_solves``/``cold_solves``/
-    ``basis_reuses``/``solver_fallbacks``) come from the incremental run's
-    :class:`~repro.core.pipeline.PipelineStats`.
+      target degree from scratch).
 
     Programs that already succeed at degree 1 are skipped (nothing
     escalates).  For the rest the escalated bound is asserted identical to
     the sequential pass's cold bound -- the identity guarantee of the
-    incremental pipeline *and* of the warm LP session -- and the
-    per-program walls, speedup and ``escalation_reuse_ratio`` are recorded
-    on the row.
+    incremental pipeline -- and the per-program walls, speedup and
+    ``escalation_reuse_ratio`` are recorded on the row.
     """
     summary = {"programs": 0, "wall_incremental": 0.0, "wall_rebuild": 0.0,
                "speedup": None, "mean_reuse_ratio": None,
-               "identity_checked": 0,
-               "solver": resolve_solver_backend(solver),
-               "solve_wall_warm": 0.0, "solve_wall_cold": 0.0,
-               "solve_speedup": None,
-               "warm_solves": 0, "cold_solves": 0, "basis_reuses": 0,
-               "solver_fallbacks": 0}
+               "identity_checked": 0}
     reuse_ratios: List[float] = []
     for bench, row in zip(benchmarks, rows):
-        options = {**bench.analyzer_options, "domain": domain,
-                   "solver": solver}
+        options = dict(bench.analyzer_options)
         target = int(options.get("max_degree", 1))
         if target < 2:
             continue
@@ -389,12 +317,10 @@ def _escalation_pass(benchmarks, rows: List[Dict[str, object]],
         if incremental.degree < target:
             continue  # degree 1 already succeeds: no escalation to measure
         start = time.perf_counter()
-        with force_cold_solves():
-            cold_low = analyze_program(program, **{**options, "max_degree": 1,
-                                                   "auto_degree": False})
-            cold = analyze_program(program, **{**options,
-                                               "max_degree": target,
-                                               "auto_degree": False})
+        analyze_program(program, **{**options, "max_degree": 1,
+                                    "auto_degree": False})
+        analyze_program(program, **{**options, "max_degree": target,
+                                    "auto_degree": False})
         wall_rebuild = time.perf_counter() - start
         incremental_bound = (incremental.bound.pretty()
                              if incremental.bound else None)
@@ -409,187 +335,28 @@ def _escalation_pass(benchmarks, rows: List[Dict[str, object]],
         reuse = stats.escalation_reuse_ratio if stats else None
         if reuse is not None:
             reuse_ratios.append(reuse)
-        # The incremental run solves the degree-1 attempt too, so the cold
-        # side sums both rebuild analyses' LP walls for a like-for-like
-        # comparison.
-        solve_warm = stats.solve_seconds_total() if stats else 0.0
-        solve_cold = sum(result.stats.solve_seconds_total()
-                         for result in (cold_low, cold) if result.stats)
         row["escalation"] = {
             "wall_incremental": round(wall_incremental, 4),
             "wall_rebuild": round(wall_rebuild, 4),
             "speedup": (round(wall_rebuild / wall_incremental, 2)
                         if wall_incremental > 0 else None),
             "reuse_ratio": reuse,
-            "solver": stats.solver_backend if stats else None,
-            "solve_wall_warm": round(solve_warm, 4),
-            "solve_wall_cold": round(solve_cold, 4),
-            "solve_speedup": (round(solve_cold / solve_warm, 2)
-                              if solve_warm > 0 else None),
-            "warm_solves": stats.warm_solves if stats else 0,
-            "cold_solves": stats.cold_solves if stats else 0,
-            "basis_reuses": stats.basis_reuses if stats else 0,
-            "solver_fallbacks": stats.solver_fallbacks if stats else 0,
         }
         summary["programs"] += 1
         summary["wall_incremental"] += wall_incremental
         summary["wall_rebuild"] += wall_rebuild
-        summary["solve_wall_warm"] += solve_warm
-        summary["solve_wall_cold"] += solve_cold
-        if stats:
-            summary["warm_solves"] += stats.warm_solves
-            summary["cold_solves"] += stats.cold_solves
-            summary["basis_reuses"] += stats.basis_reuses
-            summary["solver_fallbacks"] += stats.solver_fallbacks
     summary["wall_incremental"] = round(summary["wall_incremental"], 3)
     summary["wall_rebuild"] = round(summary["wall_rebuild"], 3)
-    summary["solve_wall_warm"] = round(summary["solve_wall_warm"], 3)
-    summary["solve_wall_cold"] = round(summary["solve_wall_cold"], 3)
     if summary["wall_incremental"] > 0:
         summary["speedup"] = round(
             summary["wall_rebuild"] / summary["wall_incremental"], 2)
-    if summary["solve_wall_warm"] > 0:
-        summary["solve_speedup"] = round(
-            summary["solve_wall_cold"] / summary["solve_wall_warm"], 2)
     if reuse_ratios:
         summary["mean_reuse_ratio"] = round(
             sum(reuse_ratios) / len(reuse_ratios), 4)
     return summary
 
 
-def _domain_comparison_pass(benchmarks) -> Dict[str, object]:
-    """Time the suite's entailment load once per abstract-domain backend.
-
-    For every registered domain the selected benchmarks are analyzed with
-    that backend active; per-domain wall clock and entailment-engine
-    counters (queries, eliminations, cache hit rate) land in the report so
-    the committed baseline documents how the backends compare.  Bounds are
-    asserted identical across domains -- both backends are exact, so any
-    divergence is a soundness bug worth failing the run for.
-
-    Every leg starts *cold*: a fresh engine and cleared rewrite memos, so
-    the comparison measures each backend doing the full query load rather
-    than coasting on answers the main pass (or the other leg) cached.
-    """
-    from repro.core.rewrite import clear_rewrite_caches
-    from repro.logic.entailment import reset_engine
-
-    comparison: Dict[str, object] = {}
-    reference_bounds: Dict[str, Optional[str]] = {}
-    for domain in available_domains():
-        engine = reset_engine(domain)
-        clear_rewrite_caches()
-        before = engine.stats.snapshot()
-        program_rows: List[Dict[str, object]] = []
-        start = time.perf_counter()
-        for bench in benchmarks:
-            program = bench.build()
-            job_before = engine.stats.snapshot()
-            job_start = time.perf_counter()
-            result = analyze_program(program, **{**bench.analyzer_options,
-                                                 "domain": domain})
-            wall = time.perf_counter() - job_start
-            delta = engine.stats.delta(job_before)
-            bound = result.bound.pretty() if result.bound else None
-            if bench.name in reference_bounds \
-                    and reference_bounds[bench.name] != bound:
-                raise AssertionError(
-                    f"domain bound mismatch for {bench.name}: {domain} found "
-                    f"{bound!r} vs {reference_bounds[bench.name]!r}")
-            reference_bounds.setdefault(bench.name, bound)
-            program_rows.append({
-                "name": bench.name,
-                "wall_seconds": round(wall, 4),
-                "queries": delta["queries"],
-                "eliminations": delta["eliminations"],
-            })
-        total_wall = time.perf_counter() - start
-        suite_delta = engine.stats.delta(before)
-        answered = suite_delta["memo_hits"] + suite_delta["fast_hits"]
-        comparison[domain] = {
-            "total_wall_seconds": round(total_wall, 3),
-            "queries": suite_delta["queries"],
-            "eliminations": suite_delta["eliminations"],
-            "hit_rate": (round(answered / suite_delta["queries"], 4)
-                         if suite_delta["queries"] else None),
-            "programs": program_rows,
-        }
-    return comparison
-
-
-def _prefilter_comparison_pass(benchmarks,
-                               domain: Optional[str] = None
-                               ) -> Dict[str, object]:
-    """Time the suite cold with the interval pre-filter on and off.
-
-    Two legs over the selected benchmarks -- interval tier enabled, then
-    disabled -- each from a fresh engine and cleared rewrite memos, so the
-    walls measure the tier doing (or not doing) the full query load.  The
-    per-leg tier hit counts, the interval-tier hit rate (the fraction of
-    memo/syntactic misses the tier decided -- the number the
-    ``PREFILTER_MIN_HIT_RATE`` gate enforces) and the wall delta land in
-    the report.  Bounds are asserted identical between the legs: the tier
-    only answers when it provably matches the exact backend, so any
-    divergence is a soundness bug worth failing the run for.
-    """
-    from repro.core.rewrite import clear_rewrite_caches
-    from repro.logic.entailment import reset_engine
-
-    domain = resolve_domain(domain)
-    legs: Dict[str, Dict[str, object]] = {}
-    reference_bounds: Dict[str, Optional[str]] = {}
-    for enabled in (True, False):
-        label = "on" if enabled else "off"
-        engine = reset_engine(domain)
-        clear_rewrite_caches()
-        before = engine.stats.snapshot()
-        start = time.perf_counter()
-        for bench in benchmarks:
-            program = bench.build()
-            result = analyze_program(program, **{**bench.analyzer_options,
-                                                 "domain": domain,
-                                                 "prefilter": enabled})
-            bound = result.bound.pretty() if result.bound else None
-            if bench.name in reference_bounds \
-                    and reference_bounds[bench.name] != bound:
-                raise AssertionError(
-                    f"prefilter bound mismatch for {bench.name}: "
-                    f"prefilter={label} found {bound!r} vs "
-                    f"{reference_bounds[bench.name]!r}")
-            reference_bounds.setdefault(bench.name, bound)
-        total_wall = time.perf_counter() - start
-        delta = engine.stats.delta(before)
-        answered = (delta["memo_hits"] + delta["fast_hits"]
-                    + delta["interval_hits"])
-        reached = delta["interval_hits"] + delta["misses"]
-        legs[label] = {
-            "total_wall_seconds": round(total_wall, 3),
-            "queries": delta["queries"],
-            "eliminations": delta["eliminations"],
-            "tiers": {
-                "memo": delta["memo_hits"],
-                "syntactic": delta["fast_hits"],
-                "interval": delta["interval_hits"],
-                "exact": delta["misses"],
-            },
-            "hit_rate": (round(answered / delta["queries"], 4)
-                         if delta["queries"] else None),
-            "interval_hit_rate": (round(delta["interval_hits"] / reached, 4)
-                                  if reached else None),
-        }
-    wall_on = legs["on"]["total_wall_seconds"]
-    wall_off = legs["off"]["total_wall_seconds"]
-    return {
-        "domain": domain,
-        "on": legs["on"],
-        "off": legs["off"],
-        "wall_delta_seconds": round(wall_off - wall_on, 3),
-        "speedup": round(wall_off / wall_on, 3) if wall_on else None,
-    }
-
-
 def _chaos_pass(benchmarks, workers: int = 2,
-                domain: Optional[str] = None,
                 crash_probability: float = CHAOS_CRASH_PROBABILITY,
                 corrupt_probability: float = CHAOS_CORRUPT_PROBABILITY,
                 seed: int = 0) -> Dict[str, object]:
@@ -627,7 +394,7 @@ def _chaos_pass(benchmarks, workers: int = 2,
         return {"skipped": "needs the fork start method (pool workers "
                            "inherit the fault registry at fork time)"}
 
-    jobs = [job_from_benchmark(bench, domain=domain) for bench in benchmarks]
+    jobs = [job_from_benchmark(bench) for bench in benchmarks]
     root = tempfile.mkdtemp(prefix="repro-chaos-")
     try:
         store = ResultStore(root)
@@ -705,7 +472,6 @@ def _percentile(samples: List[float], quantile: float) -> float:
 
 
 def _serve_pass(benchmarks, workers: int = 2,
-                domain: Optional[str] = None,
                 clients: int = SERVE_CLIENTS,
                 hot_rounds: int = SERVE_HOT_ROUNDS,
                 storm_clients: int = SERVE_STORM_CLIENTS
@@ -746,12 +512,10 @@ def _serve_pass(benchmarks, workers: int = 2,
         # would measure a different animal entirely.
         workers = 0
 
-    jobs = [job_from_benchmark(bench, domain=domain) for bench in benchmarks]
+    jobs = [job_from_benchmark(bench) for bench in benchmarks]
     root = tempfile.mkdtemp(prefix="repro-serve-")
     gateway_thread = GatewayThread(store=ResultStore(root), workers=workers,
-                                   queue_limit=max(64, len(jobs) * 2),
-                                   default_options={"domain": domain}
-                                   if domain else None)
+                                   queue_limit=max(64, len(jobs) * 2))
     try:
         host, port = gateway_thread.start()
         gateway = gateway_thread.gateway
@@ -846,8 +610,6 @@ def _serve_pass(benchmarks, workers: int = 2,
         storm_bench = get_benchmark("rdwalk")
         storm_options: Dict[str, object] = {
             **storm_bench.analyzer_options, "degree_limit": 4}
-        if domain:
-            storm_options["domain"] = domain
         storm_payload = {"op": "analyze", "name": "storm",
                          "source": job_from_benchmark(storm_bench).source,
                          "options": storm_options}
@@ -1061,9 +823,8 @@ def _summary_table(report: Dict[str, object]) -> str:
                     else f"{p['cache_hit_rate']:.2f}",
                     "ok" if p["success"] else "FAIL"])
         rows.append(tuple(row))
-    domain = report.get("domain", "fm")
     return render_table(headers, rows,
-                        title=f"perf smoke: {report['suite']} [{domain}]")
+                        title=f"perf smoke: {report['suite']}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1097,39 +858,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fail when the vectorised engine's speedup "
                              "over the scalar interpreter drops below this "
                              f"factor (default: {SAMPLER_MIN_SPEEDUP})")
-    parser.add_argument("--domain", choices=available_domains(), default=None,
-                        help="abstract-domain backend timed by the main "
-                             "pass (default: $REPRO_DOMAIN or fm)")
-    parser.add_argument("--solver", choices=solver_choices(), default=None,
-                        help="LP solver backend selector timed by the run "
-                             "(default: $REPRO_SOLVER or auto); the "
-                             "resolved backend lands in the report's "
-                             "'solver' field")
-    parser.add_argument("--escalation-min-solve-speedup", type=float,
-                        default=None,
-                        help="fail when the escalation pass's warm-vs-cold "
-                             "LP solve-wall speedup drops below this factor "
-                             "(default: "
-                             f"{ESCALATION_MIN_SOLVE_SPEEDUP} when the "
-                             "resolved solver is highs, record-only on "
-                             "scipy)")
-    parser.add_argument("--compare-domains", action="store_true",
-                        help="also time the suite once per registered "
-                             "backend (fm vs polyhedra), record per-domain "
-                             "entailment counters and assert bound identity")
-    parser.add_argument("--prefilter-compare", action="store_true",
-                        help="also time the suite cold with the interval "
-                             "pre-filter tier on and off, record per-tier "
-                             "hit counts and the wall delta, assert bound "
-                             "identity between the legs, and fail unless "
-                             "the tier decides at least "
-                             f"{PREFILTER_MIN_HIT_RATE:.0%} of the queries "
-                             "that reach it")
-    parser.add_argument("--prefilter-min-hit-rate", type=float,
-                        default=PREFILTER_MIN_HIT_RATE,
-                        help="interval-tier hit-rate floor for "
-                             "--prefilter-compare (fraction of memo/"
-                             "syntactic misses the tier must decide)")
     parser.add_argument("--chaos", action="store_true",
                         help="also run the fault-recovery gate: re-run the "
                              "suite with deterministic worker crashes "
@@ -1195,9 +923,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = run_suite(args.group, args.limit, programs=args.programs,
                        workers=args.workers, escalation=args.escalation,
                        sampler=args.sampler, sampler_runs=args.sampler_runs,
-                       domain=args.domain, solver=args.solver,
-                       compare_domains=args.compare_domains,
-                       prefilter_compare=args.prefilter_compare,
                        chaos=args.chaos, serve=args.serve, lint=args.lint)
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=False)
@@ -1223,38 +948,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"(speedup {escalation['speedup']:.2f}x, mean reuse "
                   f"{escalation['mean_reuse_ratio']:.1%}, "
                   f"{escalation['identity_checked']} bound identities checked)")
-            solve_speedup = escalation.get("solve_speedup")
-            print(f"LP warm-starting [{escalation['solver']}]: solve walls "
-                  f"warm {escalation['solve_wall_warm']:.2f}s vs cold "
-                  f"{escalation['solve_wall_cold']:.2f}s"
-                  + (f" (speedup {solve_speedup:.2f}x)"
-                     if solve_speedup is not None else "")
-                  + f"; {escalation['warm_solves']} warm / "
-                  f"{escalation['cold_solves']} cold solves, "
-                  f"{escalation['basis_reuses']} basis reuses, "
-                  f"{escalation['solver_fallbacks']} fallbacks")
-        domain_report = report.get("domains")
-        if domain_report:
-            for name, summary in domain_report.items():
-                print(f"domain {name}: {summary['total_wall_seconds']:.2f}s, "
-                      f"{summary['queries']} queries, "
-                      f"{summary['eliminations']} eliminations"
-                      + (f", hit rate {summary['hit_rate']:.1%}"
-                         if summary["hit_rate"] is not None else ""))
-        prefilter_report = report.get("prefilter_compare")
-        if prefilter_report:
-            on = prefilter_report["on"]
-            off = prefilter_report["off"]
-            rate = on["interval_hit_rate"]
-            print(f"prefilter [{prefilter_report['domain']}]: on "
-                  f"{on['total_wall_seconds']:.2f}s vs off "
-                  f"{off['total_wall_seconds']:.2f}s; interval tier "
-                  f"decided {on['tiers']['interval']} of "
-                  f"{on['tiers']['interval'] + on['tiers']['exact']} "
-                  "tier-reaching queries"
-                  + (f" (hit rate {rate:.1%})" if rate is not None else "")
-                  + f", {off['eliminations'] - on['eliminations']} "
-                  "eliminations avoided")
         chaos_report = report.get("chaos")
         if chaos_report:
             if "skipped" in chaos_report:
@@ -1314,31 +1007,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                   file=sys.stderr)
             return 1
 
-    prefilter_report = report.get("prefilter_compare")
-    if prefilter_report is not None:
-        rate = prefilter_report["on"]["interval_hit_rate"]
-        if rate is None or rate < args.prefilter_min_hit_rate:
+    if args.group == "all" and not args.programs and args.limit is None:
+        rate = report["entailment_cache"]["interval_hit_rate"]
+        if rate < PREFILTER_MIN_HIT_RATE:
             print(f"interval pre-filter gate FAILED: tier hit rate "
-                  f"{rate} < required {args.prefilter_min_hit_rate:.0%} "
+                  f"{rate} < required {PREFILTER_MIN_HIT_RATE:.0%} "
                   "of tier-reaching queries", file=sys.stderr)
             return 1
-
-    escalation_report = report.get("escalation")
-    if escalation_report and escalation_report["programs"]:
-        required = args.escalation_min_solve_speedup
-        if required is None \
-                and escalation_report.get("solver") == "highs":
-            # The native backend must earn its keep; the SciPy fallback has
-            # no warm path, so its split is recorded without a floor.
-            required = ESCALATION_MIN_SOLVE_SPEEDUP
-        if required is not None:
-            solve_speedup = escalation_report.get("solve_speedup")
-            if solve_speedup is None or solve_speedup < required:
-                print(f"LP warm-starting gate FAILED: warm-vs-cold solve "
-                      f"speedup {solve_speedup} < required {required}x "
-                      f"on the {escalation_report.get('solver')} backend",
-                      file=sys.stderr)
-                return 1
 
     if baseline is not None:
         lint_report = report.get("lint")
@@ -1352,16 +1027,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       f"{ratio:.2%} of the sequential analysis wall "
                       f"(cap {LINT_MAX_OVERHEAD:.0%})", file=sys.stderr)
                 return 1
-        baseline_domain = baseline.get("domain", "fm")
-        if report["domain"] != baseline_domain:
-            # Cross-domain wall-time comparisons are meaningless: a slower
-            # backend would fail CI as a spurious "regression" and a faster
-            # one would mask a real one.  Regenerate the baseline under the
-            # same --domain instead.
-            print(f"cannot --check: report timed under domain "
-                  f"{report['domain']!r} but baseline {args.check!r} was "
-                  f"timed under {baseline_domain!r}", file=sys.stderr)
-            return 2
         regressions = find_regressions(report, baseline,
                                        threshold=args.threshold)
         if regressions:
@@ -1370,18 +1035,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             for line in regressions:
                 print(f"  - {line}", file=sys.stderr)
             return 1
+        escalation_report = report.get("escalation")
         base_escalation = baseline.get("escalation")
         if escalation_report and escalation_report["programs"] \
                 and base_escalation and base_escalation.get("speedup"):
-            baseline_solver = baseline.get("solver")
-            if baseline_solver is not None \
-                    and baseline_solver != report["solver"]:
-                # Same reasoning as the domain guard: comparing warm-start
-                # numbers across LP backends would gate apples on oranges.
-                print(f"cannot --check escalation: report solved with "
-                      f"{report['solver']!r} but baseline {args.check!r} "
-                      f"with {baseline_solver!r}", file=sys.stderr)
-                return 2
             fresh_speedup = escalation_report.get("speedup")
             base_speedup = base_escalation["speedup"]
             if fresh_speedup is not None \

@@ -118,28 +118,14 @@ def _measure_error(benchmark: BenchmarkProgram, bound,
     return error, measurements
 
 
-def _options_for(benchmark: BenchmarkProgram, domain: Optional[str],
-                 solver: Optional[str] = None) -> Dict[str, object]:
-    """The benchmark's analyzer options, with backend choices applied."""
-    options: Dict[str, object] = dict(benchmark.analyzer_options)
-    if domain is not None:
-        options["domain"] = domain
-    if solver is not None:
-        options["solver"] = solver
-    return options
-
-
 def evaluate_benchmark(benchmark: BenchmarkProgram,
                        runs: Optional[int] = None,
                        simulate: bool = True,
-                       seed: int = 0,
-                       domain: Optional[str] = None,
-                       solver: Optional[str] = None) -> Table1Row:
+                       seed: int = 0) -> Table1Row:
     """Analyze + (optionally) simulate one benchmark."""
     program = benchmark.build()
     start = time.perf_counter()
-    result = analyze_program(program,
-                             **_options_for(benchmark, domain, solver))
+    result = analyze_program(program, **benchmark.analyzer_options)
     analysis_seconds = time.perf_counter() - start
 
     error = float("nan")
@@ -166,9 +152,7 @@ def evaluate_benchmark(benchmark: BenchmarkProgram,
 
 def evaluate_parallel(benchmarks: Sequence[BenchmarkProgram], workers: int,
                       runs: Optional[int] = None, simulate: bool = True,
-                      seed: int = 0, store=None,
-                      domain: Optional[str] = None,
-                      solver: Optional[str] = None) -> List[Table1Row]:
+                      seed: int = 0, store=None) -> List[Table1Row]:
     """Analyze ``benchmarks`` through the service scheduler, then simulate.
 
     Analyses fan out over ``workers`` processes (0 = inline through the same
@@ -179,8 +163,7 @@ def evaluate_parallel(benchmarks: Sequence[BenchmarkProgram], workers: int,
     from repro.service.jobs import job_from_benchmark
     from repro.service.scheduler import run_jobs
 
-    jobs = [job_from_benchmark(benchmark, domain=domain, solver=solver)
-            for benchmark in benchmarks]
+    jobs = [job_from_benchmark(benchmark) for benchmark in benchmarks]
     results = run_jobs(jobs, workers=workers, store=store)
     rows = []
     for benchmark, result in zip(benchmarks, results):
@@ -219,24 +202,18 @@ def select_group(group: str = "all",
 def run_table1(group: str = "all", names: Optional[Sequence[str]] = None,
                runs: Optional[int] = None, simulate: bool = True,
                seed: int = 0, workers: Optional[int] = None,
-               store=None, domain: Optional[str] = None,
-               solver: Optional[str] = None) -> List[Table1Row]:
+               store=None) -> List[Table1Row]:
     """Evaluate a group of benchmarks and return the rows.
 
     ``workers=None`` keeps the classic in-process path; any integer routes
     the analyses through the service scheduler (0 = inline jobs, N >= 1 = a
-    pool of N processes) with identical bounds either way.  ``domain``
-    selects the abstract-domain backend and ``solver`` the LP backend
-    selector (None = process defaults); bounds are byte-identical across
-    both choices by construction.
+    pool of N processes) with identical bounds either way.
     """
     benchmarks = select_group(group, names)
     if workers is not None:
         return evaluate_parallel(benchmarks, workers, runs=runs,
-                                 simulate=simulate, seed=seed, store=store,
-                                 domain=domain, solver=solver)
-    return [evaluate_benchmark(b, runs=runs, simulate=simulate, seed=seed,
-                               domain=domain, solver=solver)
+                                 simulate=simulate, seed=seed, store=store)
+    return [evaluate_benchmark(b, runs=runs, simulate=simulate, seed=seed)
             for b in benchmarks]
 
 
@@ -269,24 +246,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--workers", type=int, default=None,
                         help="run the analyses through the service scheduler "
                              "with this many worker processes (0 = inline)")
-    from repro.logic.entailment import available_domains
-
-    parser.add_argument("--domain", choices=available_domains(), default=None,
-                        help="abstract-domain backend for the analyses "
-                             "(default: $REPRO_DOMAIN or fm)")
-    from repro.core.lpsession import solver_choices
-
-    parser.add_argument("--solver", choices=solver_choices(), default=None,
-                        help="LP solver backend selector "
-                             "(default: $REPRO_SOLVER or auto)")
     args = parser.parse_args(argv)
 
     runs = args.runs
     if args.quick and runs is None:
         runs = 50
     rows = run_table1(group=args.group, names=args.names, runs=runs,
-                      simulate=not args.no_simulation, workers=args.workers,
-                      domain=args.domain, solver=args.solver)
+                      simulate=not args.no_simulation, workers=args.workers)
     print(render_rows(rows))
     failures = [row.name for row in rows if not row.success]
     if failures:

@@ -45,28 +45,6 @@ class AnalyzerConfig:
 
     #: Maximal degree of the inferred polynomial bound.
     max_degree: int = 1
-    #: Abstract-domain backend answering entailment queries: ``"fm"``
-    #: (Fourier-Motzkin, the default), ``"polyhedra"`` (generator
-    #: representation / Chernikova), or ``None`` for the process default
-    #: (``$REPRO_DOMAIN`` or ``fm``).  Part of the service job hash, so the
-    #: result store never serves one domain's results to the other.
-    domain: Optional[str] = None
-    #: LP solver backend answering the assembled linear programs:
-    #: ``"auto"`` (native ``highspy`` when importable, SciPy otherwise),
-    #: ``"highs"`` (require the native warm-started session), ``"scipy"``
-    #: (always-available ``linprog`` reference path), or ``None`` for the
-    #: process default (``$REPRO_SOLVER`` or ``auto``).  Hashed into the
-    #: service job key like ``domain`` (the *selector*, not the machine-
-    #: dependent resolution, so ``auto`` keys identically everywhere --
-    #: backends are byte-identical by the warm/cold identity pin).
-    solver: Optional[str] = None
-    #: Front the exact domain with the interval pre-filter tier
-    #: (:mod:`repro.logic.intervals`): ``True``/``False``, or ``None`` for
-    #: the process default (``$REPRO_PREFILTER`` or on).  Observational --
-    #: bounds and certificates are byte-identical either way (the tier only
-    #: answers when it provably matches the exact backend) -- but hashed
-    #: into the service job key like ``domain`` so provenance is explicit.
-    prefilter: Optional[bool] = None
     #: Retry with higher degrees (up to ``degree_limit``) when no bound is found.
     auto_degree: bool = True
     degree_limit: int = 2
@@ -122,9 +100,9 @@ class AnalysisResult:
     #: ``""`` on success; ``"no-bound"`` when the LP is infeasible for every
     #: attempted degree; ``"analysis-error"`` when the derivation could not
     #: even be set up (lowering failures, unsupported constructs, ...);
-    #: ``"resource-limit"`` when the backend ran out of resources (the
-    #: Fourier-Motzkin constraint cap) -- a failure of the *backend*, not
-    #: the program, so the service layer may retry under another domain.
+    #: ``"resource-limit"`` when the eliminator ran out of resources (the
+    #: Fourier-Motzkin constraint cap) -- a failure of the environment, not
+    #: a property of the program.
     #: Front ends map these to distinct exit codes.
     failure_kind: str = ""
     total_seconds: float = 0.0

@@ -44,8 +44,6 @@ from repro.core.bounds import ExpectedBound
 from repro.core.certificates import build_certificate
 from repro.core.constraints import AffExpr, ConstraintSystem
 from repro.core.derivation import DerivationBuilder
-from repro.core.lpsession import LPSession, create_session, \
-    resolve_solver_backend
 from repro.core.solver import AssembledSystem, IterativeMinimizer, LPSolution
 from repro.core.specs import ProcedureSpec, SpecContext
 from repro.lang import ast
@@ -82,14 +80,9 @@ class DegreeStage:
     constraints_total: int = 0
     solved: bool = False
     feasible: Optional[bool] = None
-    #: LP-session counters of this stage's solve attempt: solves answered by
-    #: the persistent warm model, solves through the cold reference path,
-    #: warm solves that reused the previous simplex basis, and warm solves
-    #: rejected into a cold re-solve (see ``repro.core.lpsession``).
-    warm_solves: int = 0
-    cold_solves: int = 0
-    basis_reuses: int = 0
-    solver_fallbacks: int = 0
+    #: ``linprog`` calls of this stage's solve attempt (one per objective
+    #: stage, including an infeasible last one).
+    lp_solves: int = 0
 
     def reuse_ratio(self) -> Optional[float]:
         """Fraction of this stage's system carried over from earlier degrees."""
@@ -117,10 +110,7 @@ class DegreeStage:
             "solved": self.solved,
             "feasible": self.feasible,
             "reuse_ratio": self.reuse_ratio(),
-            "warm_solves": self.warm_solves,
-            "cold_solves": self.cold_solves,
-            "basis_reuses": self.basis_reuses,
-            "solver_fallbacks": self.solver_fallbacks,
+            "lp_solves": self.lp_solves,
         }
 
 
@@ -134,9 +124,6 @@ class PipelineStats:
     #: One entry per *constructed* degree (superset of the attempted ones:
     #: a cold ``max_degree=2`` run constructs degree 1 without solving it).
     stages: List[DegreeStage] = field(default_factory=list)
-    #: The resolved LP backend that answered this analysis's solves
-    #: ("scipy", "highs"; None before the first solve attempt).
-    solver_backend: Optional[str] = None
 
     @property
     def escalation_reuse_ratio(self) -> Optional[float]:
@@ -160,20 +147,19 @@ class PipelineStats:
         return sum(stage.solve_seconds for stage in self.stages)
 
     @property
+    def lp_solves(self) -> int:
+        return sum(stage.lp_solves for stage in self.stages)
+
+    # The earlier warm/cold split of ``lp_solves``, still read by the
+    # benchmark harness: every solve is a cold ``linprog`` call.
+
+    @property
     def warm_solves(self) -> int:
-        return sum(stage.warm_solves for stage in self.stages)
+        return 0
 
     @property
     def cold_solves(self) -> int:
-        return sum(stage.cold_solves for stage in self.stages)
-
-    @property
-    def basis_reuses(self) -> int:
-        return sum(stage.basis_reuses for stage in self.stages)
-
-    @property
-    def solver_fallbacks(self) -> int:
-        return sum(stage.solver_fallbacks for stage in self.stages)
+        return self.lp_solves
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -182,11 +168,7 @@ class PipelineStats:
             "solve_seconds": round(self.solve_seconds_total(), 4),
             "attempted_degrees": list(self.attempted_degrees),
             "escalation_reuse_ratio": self.escalation_reuse_ratio,
-            "solver": self.solver_backend,
-            "warm_solves": self.warm_solves,
-            "cold_solves": self.cold_solves,
-            "basis_reuses": self.basis_reuses,
-            "solver_fallbacks": self.solver_fallbacks,
+            "lp_solves": self.lp_solves,
             "stages": [stage.to_dict() for stage in self.stages],
         }
 
@@ -209,10 +191,6 @@ class AnalysisState:
     initial: Optional[PotentialAnnotation] = None
     #: LP assembly grown in place; created lazily at the first solve.
     assembled: Optional[AssembledSystem] = None
-    #: Persistent LP solver session over ``assembled`` (same lifetime): the
-    #: native model survives objective stages and degree escalations, so
-    #: warm backends feed every solve the previous stage's simplex basis.
-    session: Optional["LPSession"] = None
     built_degree: Optional[int] = None
 
 
@@ -322,10 +300,6 @@ class AnalysisPipeline:
         extension = system.end_extension()
         if state.assembled is not None:
             state.assembled.extend(extension)
-            if state.session is not None:
-                # Mirror the growth onto the live solver model: new columns,
-                # delta coefficients in fresh columns, and the round's rows.
-                state.session.apply_extension(extension)
         state.built_degree = degree
         self.stats.stages.append(DegreeStage(
             degree=degree, kind="extend",
@@ -350,23 +324,14 @@ class AnalysisPipeline:
         objectives = self._objectives(state.initial)
         if state.assembled is None:
             state.assembled = AssembledSystem(system)
-        if state.session is None:
-            state.session = create_session(self.config.solver,
-                                           state.assembled)
-            self.stats.solver_backend = state.session.name
-        before = state.session.stats.snapshot()
         solver = IterativeMinimizer(system, tolerance=self.config.lp_tolerance)
-        solution = solver.solve(objectives, session=state.session)
+        solution = solver.solve(objectives, assembled=state.assembled)
         elapsed = time.perf_counter() - started
         if stage is not None:
             stage.solve_seconds = elapsed
             stage.solved = True
             stage.feasible = solution is not None
-            delta = state.session.stats.delta(before)
-            stage.warm_solves = delta["warm_solves"]
-            stage.cold_solves = delta["cold_solves"]
-            stage.basis_reuses = delta["basis_reuses"]
-            stage.solver_fallbacks = delta["fallbacks"]
+            stage.lp_solves = solver.solves
         if solution is None:
             return AnalysisResult(
                 False, None, degree, elapsed,
@@ -385,33 +350,7 @@ class AnalysisPipeline:
     # -- the driver ----------------------------------------------------------
 
     def run(self) -> "AnalysisResult":
-        """Run the analysis over the configured degree-retry schedule.
-
-        The whole run executes with the configured abstract domain active
-        (:func:`repro.logic.entailment.use_domain`), so every ``Context``
-        operation -- from abstract interpretation to the rewrite-side
-        entailment checks -- is answered by the selected backend.  The
-        interval pre-filter setting is activated the same way
-        (:func:`repro.logic.entailment.use_prefilter`): per-analysis, and
-        restored afterwards so a job's setting cannot leak into the next
-        job in the same process.
-        """
-        from repro.core.analyzer import AnalysisResult
-        from repro.logic.entailment import (resolve_domain, resolve_prefilter,
-                                            use_domain, use_prefilter)
-
-        try:
-            domain = resolve_domain(self.config.domain)
-            prefilter = resolve_prefilter(self.config.prefilter)
-            resolve_solver_backend(self.config.solver)
-        except ValueError as exc:
-            return AnalysisResult(
-                False, None, self.config.max_degree, 0.0, 0, 0, None,
-                str(exc), failure_kind="analysis-error", stats=self.stats)
-        with use_domain(domain), use_prefilter(prefilter):
-            return self._run_attempts()
-
-    def _run_attempts(self) -> "AnalysisResult":
+        """Run the analysis over the configured degree-retry schedule."""
         from dataclasses import replace
 
         from repro.core.analyzer import AnalysisResult
@@ -432,10 +371,9 @@ class AnalysisPipeline:
                 failure_kind="analysis-error"))
         except MemoryError as exc:
             # The eliminator's constraint cap (ConstraintCapExceeded) on a
-            # query with no local fallback: a *resource* failure of this
-            # backend, not a property of the program.  Reported as the
-            # structured ``resource-limit`` kind so the service layer can
-            # retry under the cap-free polyhedra backend.
+            # query with no local fallback: a *resource* failure, not a
+            # property of the program, reported as the structured
+            # ``resource-limit`` kind.
             return finalise(AnalysisResult(
                 False, None, config.max_degree, 0.0, 0, 0, None,
                 str(exc) or "constraint cap exceeded",

@@ -35,7 +35,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.logic.contexts import Context
-from repro.logic.entailment import active_domain
 from repro.utils.linear import LinExpr
 from repro.utils.polynomials import IntervalAtom, Monomial, Polynomial
 
@@ -129,14 +128,16 @@ _REWRITE_CACHE_LIMIT = 4096
 
 
 def clear_rewrite_caches() -> None:
-    """Drop the process-wide rewrite memos.
+    """Drop the process-wide rewrite memos, the atom differences included.
 
-    Used between cold-timing passes (``perfsmoke --compare-domains``): the
-    memos embed entailment-derived bounds, so a warm memo would let one
-    domain's timing leg coast on another's query answers.
+    The memos embed entailment-derived bounds: clearing them makes the next
+    analysis ask the engine afresh.  Cold-timing passes call this between
+    programs, and :func:`repro.logic.entailment.oracle_engine` calls it so
+    an oracle engine answers its own queries.
     """
     _REWRITE_CACHE.clear()
     _ATOM_REWRITE_CACHE.clear()
+    _DIFF_CACHE.clear()
 
 
 def generate_rewrites(context: Context,
@@ -152,12 +153,7 @@ def generate_rewrites(context: Context,
     shared, so callers must not mutate it.
     """
     monomials = frozenset(monomials)
-    # Keyed by the active abstract domain: both backends are exact (so the
-    # entries would agree), but sharing them would let one domain's run
-    # silently serve another's queries, defeating per-domain isolation,
-    # statistics and timing comparisons.
-    cache_key = (active_domain(), context, monomials, max_degree,
-                 max_pair_rewrites)
+    cache_key = (context, monomials, max_degree, max_pair_rewrites)
     cached = _REWRITE_CACHE.get(cache_key)
     if cached is not None:
         return cached
@@ -193,7 +189,7 @@ def _atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
     products of :func:`_generate_rewrites`.  The returned lists are shared
     memo entries: callers must not mutate them.
     """
-    cache_key = (active_domain(), context, atoms, max_pair_rewrites)
+    cache_key = (context, atoms, max_pair_rewrites)
     cached = _ATOM_REWRITE_CACHE.get(cache_key)
     if cached is not None:
         return cached

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -25,9 +25,6 @@ from scipy.sparse import coo_matrix, csr_matrix, vstack
 from repro.core.constraints import (AffExpr, Constraint, ConstraintSystem,
                                     LPVar, SystemExtension)
 from repro.utils.rationals import snap_fraction
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.lpsession import LPSession
 
 
 @dataclass
@@ -286,60 +283,48 @@ class IterativeMinimizer:
     """Minimise a sequence of objectives, fixing each optimum before the next.
 
     The base LP matrices are assembled exactly once; each stage only adds
-    its incremental objective-fixing row on top of them.  With a persistent
-    :class:`~repro.core.lpsession.LPSession` the stage rows go straight
-    into the live solver model and every solve starts from the previous
-    stage's basis; without one a transient SciPy-backed session reproduces
-    the classic cold-solve behaviour byte for byte.
+    its objective-fixing row on top of them, and the extras cache of
+    :meth:`AssembledSystem.matrices` appends just that row per solve.
     """
 
     def __init__(self, system: ConstraintSystem, tolerance: float = 1e-6) -> None:
         self.system = system
         self.tolerance = tolerance
+        #: ``linprog`` calls made so far (including an infeasible last one).
+        self.solves = 0
 
     def solve(self, objectives: Sequence[AffExpr],
-              assembled: Optional[AssembledSystem] = None,
-              session: Optional["LPSession"] = None) -> Optional[LPSolution]:
-        """Solve the staged objectives; ``assembled``/``session`` reuse state.
+              assembled: Optional[AssembledSystem] = None
+              ) -> Optional[LPSolution]:
+        """Solve the staged objectives; ``assembled`` reuses an assembly.
 
         The incremental pipeline passes the :class:`AssembledSystem` it has
-        been growing across degree escalations (and, with a solver session,
-        the live model built over it); the assembly must be up to date with
-        the constraint system (same variable/constraint counts).
+        been growing across degree escalations; the assembly must be up to
+        date with the constraint system (same variable/constraint counts).
         """
-        if session is not None:
-            assembled = session.assembled
         if assembled is None:
             assembled = AssembledSystem(self.system)
         if assembled.num_vars != self.system.num_variables \
                 or assembled.num_constraints != self.system.num_constraints:
             raise ValueError("assembled system is stale with respect to the "
                              "constraint system; apply the extension first")
-        if session is None:
-            from repro.core.lpsession import ScipySession
-
-            session = ScipySession(assembled)
         values: Optional[np.ndarray] = None
         achieved: List[float] = []
+        # The objective-fixing rows of this attempt only.
+        stage_rows: List[Tuple[AffExpr, float]] = []
         stages = list(objectives) or [AffExpr.zero()]
-        try:
-            for objective in stages:
-                values = session.solve(objective)
-                if values is None:
-                    return None
-                achieved_value = float(
-                    assembled.objective_vector(objective) @ values
-                    + float(objective.const))
-                achieved.append(achieved_value)
-                if not objective.is_constant():
-                    session.fix_objective(objective,
-                                          achieved_value + self.tolerance)
-        finally:
-            # Stage rows belong to this attempt only.  Clearing them here --
-            # before any degree extension touches the session -- keeps them
-            # a pure tail block in native models, so warm backends can drop
-            # them without renumbering earlier rows.
-            session.clear_stage_rows()
+        for objective in stages:
+            self.solves += 1
+            values = assembled.solve(objective, stage_rows)
+            if values is None:
+                return None
+            achieved_value = float(
+                assembled.objective_vector(objective) @ values
+                + float(objective.const))
+            achieved.append(achieved_value)
+            if not objective.is_constant():
+                stage_rows.append((objective,
+                                   achieved_value + self.tolerance))
         assignment = {var: snap_fraction(float(values[var.index]))
                       for var in self.system.variables}
         # Clamp tiny negatives introduced by floating point on non-negative vars.

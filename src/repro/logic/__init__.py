@@ -16,11 +16,9 @@ from repro.logic.entailment import (
     DomainBackend,
     EntailmentEngine,
     EntailmentStats,
-    available_domains,
     clear_cache,
     get_engine,
     reset_stats,
-    use_domain,
 )
 from repro.logic.fourier_motzkin import (
     Infeasible,
@@ -39,11 +37,9 @@ __all__ = [
     "DomainBackend",
     "EntailmentEngine",
     "EntailmentStats",
-    "available_domains",
     "clear_cache",
     "get_engine",
     "reset_stats",
-    "use_domain",
     "Infeasible",
     "Unbounded",
     "entails",

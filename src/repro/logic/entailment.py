@@ -28,22 +28,16 @@ are exact for rational Fourier-Motzkin, and the memo never crosses contexts.
 propagates so callers (e.g. :meth:`Context.assign <repro.logic.contexts.Context.assign>`)
 keep their fallback behaviour.
 
-**Abstract-domain backends.**  The cold layer underneath the caches is
-pluggable: a :class:`DomainBackend` supplies exact projection, feasibility
-and minimisation.  Two registered backends exist:
-
-* ``fm`` (default) -- the hand-rolled Fourier-Motzkin eliminator of
-  :mod:`repro.logic.fourier_motzkin`;
-* ``polyhedra`` -- the generator-representation polyhedral domain of
-  :mod:`repro.logic.polyhedra` (double description / Chernikova).
-
-Both are exact over the rationals, so they must agree on every decision
-query -- ``tests/test_domain_differential.py`` asserts it.  One engine
-exists per domain (:func:`get_engine` with a ``domain`` argument); the
-*active* domain -- what a bare ``get_engine()`` and therefore every
-``Context`` operation uses -- defaults to ``$REPRO_DOMAIN`` or ``fm`` and is
-switched per analysis via :func:`use_domain` (the analyzer pipeline does
-this from ``AnalyzerConfig.domain``).
+**Backends.**  The cold layer underneath the caches is a
+:class:`DomainBackend` supplying exact projection, feasibility and
+minimisation.  Every analysis runs on one process-wide engine
+(:func:`get_engine`) over the hand-rolled Fourier-Motzkin eliminator of
+:mod:`repro.logic.fourier_motzkin`, fronted by the interval tier.  The
+generator-representation polyhedral domain of :mod:`repro.logic.polyhedra`
+(double description / Chernikova) is exact as well and serves as the test
+oracle: the differential and identity suites swap it in, or switch the
+interval tier off, through :func:`oracle_engine`, and assert that nothing
+an analysis reports changes.
 
 The engine also hosts the lattice/transfer operations (:meth:`EntailmentEngine.join`,
 :meth:`~EntailmentEngine.widen`, :meth:`~EntailmentEngine.assign`), so
@@ -56,23 +50,14 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
-                    Optional, Sequence, Tuple)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.logic import fourier_motzkin as fm
 from repro.logic.intervals import UNDECIDED, IntervalBox
 from repro.utils.linear import LinExpr
 
 FactKey = FrozenSet[LinExpr]
-
-#: Environment variable selecting the process-default domain.
-DOMAIN_ENV = "REPRO_DOMAIN"
-
-#: Environment variable selecting the process-default pre-filter state.
-PREFILTER_ENV = "REPRO_PREFILTER"
-
-#: The built-in default backend.
-FM_DOMAIN = "fm"
 
 #: Sentinel stored in the projection cache for infeasible contexts.
 _INFEASIBLE = object()
@@ -235,7 +220,7 @@ class FourierMotzkinBackend(DomainBackend):
     much smaller projected system.
     """
 
-    name = FM_DOMAIN
+    name = "fm"
     batch_by_projection = True
 
     def is_feasible(self, facts: Sequence[LinExpr], key: FactKey) -> bool:
@@ -276,16 +261,20 @@ class FourierMotzkinBackend(DomainBackend):
 
 
 class EntailmentEngine:
-    """Per-domain cache + fast paths fronting an exact backend."""
+    """Cache + fast paths + interval tier fronting an exact backend."""
 
     #: Clear a cache wholesale once it grows past this many entries; the
     #: contexts of one program are small, so in practice this only guards
     #: long-running multi-program processes.
     MAX_ENTRIES = 200_000
 
-    def __init__(self, backend: Optional[DomainBackend] = None) -> None:
+    def __init__(self, backend: Optional[DomainBackend] = None,
+                 prefilter: bool = True) -> None:
         self.backend = backend if backend is not None else FourierMotzkinBackend()
         self.backend.attach(self)
+        #: Whether the interval tier answers before the exact backend.
+        #: Always on in production; only :func:`oracle_engine` turns it off.
+        self.prefilter = prefilter
         self.stats = EntailmentStats()
         self.evictions = 0
         self._entails_cache: Dict[Tuple[FactKey, LinExpr], bool] = {}
@@ -294,21 +283,13 @@ class EntailmentEngine:
         self._projection_cache: Dict[Tuple[FactKey, FrozenSet[str]], object] = {}
         self._assign_cache: Dict[Tuple[FactKey, str, LinExpr, Fraction,
                                        Fraction], object] = {}
-        # Per-context interval boxes for the pre-filter tier.  Safe to keep
-        # populated (and to share answers through the memo caches) with the
-        # pre-filter off: a decided interval answer always equals the exact
-        # backend's answer, so cache contents are toggle-independent.
+        # Per-context interval boxes for the pre-filter tier.
         self._box_cache: Dict[FactKey, IntervalBox] = {}
         # Per-context index for the single-fact fast path: canonical linear
         # part -> smallest canonical constant among the facts.
         self._norm_index: Dict[FactKey, Dict[Tuple, Fraction]] = {}
 
     # -- maintenance ------------------------------------------------------
-
-    @property
-    def domain(self) -> str:
-        """Name of the abstract-domain backend answering cold queries."""
-        return self.backend.name
 
     def clear(self) -> None:
         """Drop every cached result (statistics are kept)."""
@@ -366,7 +347,7 @@ class EntailmentEngine:
                 self._store_entails(key, query, fast)
                 results[index] = fast
                 continue
-            if active_prefilter():
+            if self.prefilter:
                 verdict = self._box_for(key).entails(query)
                 if verdict is not UNDECIDED:
                     self.stats.interval_hits += 1
@@ -419,7 +400,7 @@ class EntailmentEngine:
             self.stats.fast_hits += 1
             self._feasible_cache[key] = True
             return True
-        if active_prefilter():
+        if self.prefilter:
             verdict = self._box_for(key).is_satisfiable()
             if verdict is not UNDECIDED:
                 self.stats.interval_hits += 1
@@ -456,7 +437,7 @@ class EntailmentEngine:
             result = None
         else:
             fast_answered = False
-            if active_prefilter():
+            if self.prefilter:
                 verdict = self._box_for(key).glb(expression)
                 if verdict is not UNDECIDED:
                     self.stats.interval_hits += 1
@@ -490,11 +471,12 @@ class EntailmentEngine:
         self.stats.eliminations += 1
         # Fault-injection site: lets the chaos suite force a constraint-cap
         # blowup on the cold path without crafting a pathological program.
-        # Cheap no-op unless a fault registry is installed.
+        # Cheap no-op unless a fault registry is installed.  The site key is
+        # the projection's kept variables, so a spec can target one query.
         from repro.service import faults
 
         try:
-            faults.fire("engine.project", self.domain)
+            faults.fire("engine.project", ",".join(sorted(keep)))
             projected = self.backend.project(facts, keep)
         except fm.Infeasible:
             self._guard(self._projection_cache)
@@ -502,7 +484,7 @@ class EntailmentEngine:
             raise
         except MemoryError:
             # Constraint-cap blowups are counted but never cached: the same
-            # query may succeed under another backend or a smaller context.
+            # query may succeed over a smaller context.
             self.stats.cap_blowups += 1
             raise
         self._guard(self._projection_cache)
@@ -541,7 +523,7 @@ class EntailmentEngine:
         # the ``count=False`` calls from :meth:`entails_many` are either
         # already-projected residues or pending queries whose tier checks
         # ran in the batch loop, and both were counted as misses there.
-        if count and active_prefilter():
+        if count and self.prefilter:
             verdict = self._box_for(key).entails(query)
             if verdict is not UNDECIDED:
                 self.stats.interval_hits += 1
@@ -759,222 +741,60 @@ class EntailmentEngine:
 
 
 # ---------------------------------------------------------------------------
-# The interval pre-filter toggle
-# ---------------------------------------------------------------------------
-#
-# The pre-filter is observational: every answer the interval tier decides
-# equals the exact backend's answer, so toggling it changes *which tier*
-# answers (and how fast), never *what* is answered.  The toggle is still
-# plumbed like the domain -- env default, per-analysis override, job-hash
-# participation -- so perfsmoke can compare the two configurations and the
-# result store never conflates their provenance.
-
-#: The process-wide pre-filter override; ``None`` = process default.
-_ACTIVE_PREFILTER: Optional[bool] = None
-
-
-def resolve_prefilter(value) -> bool:
-    """Normalise a pre-filter setting (bool, ``"on"``/``"off"``, ``None``).
-
-    ``None`` resolves to the *active* setting (mirroring
-    :func:`resolve_domain`), so an analysis without an explicit choice
-    inherits an enclosing :func:`use_prefilter` block or the process
-    default.
-    """
-    if value is None:
-        return active_prefilter()
-    if isinstance(value, str):
-        lowered = value.strip().lower()
-        if lowered in ("on", "1", "true", "yes"):
-            return True
-        if lowered in ("off", "0", "false", "no"):
-            return False
-        raise ValueError(f"invalid pre-filter setting {value!r}; "
-                         f"expected 'on' or 'off'")
-    return bool(value)
-
-
-def default_prefilter() -> bool:
-    """The process-default pre-filter state: ``$REPRO_PREFILTER`` or on."""
-    value = os.environ.get(PREFILTER_ENV)
-    if value is None or not value.strip():
-        return True
-    return resolve_prefilter(value)
-
-
-def active_prefilter() -> bool:
-    """Whether the interval tier currently fronts the exact backends."""
-    return (_ACTIVE_PREFILTER if _ACTIVE_PREFILTER is not None
-            else default_prefilter())
-
-
-def set_active_prefilter(enabled: Optional[bool]) -> bool:
-    """Switch the pre-filter; returns the previously active state."""
-    global _ACTIVE_PREFILTER
-    previous = active_prefilter()
-    _ACTIVE_PREFILTER = (resolve_prefilter(enabled)
-                         if enabled is not None else None)
-    return previous
-
-
-@contextmanager
-def use_prefilter(enabled: Optional[bool]) -> Iterator[bool]:
-    """Run a block with the pre-filter forced on/off (restored on exit).
-
-    The analyzer pipeline wraps each analysis in this (from
-    ``AnalyzerConfig.prefilter``), mirroring :func:`use_domain`.
-    """
-    state = resolve_prefilter(enabled)
-    global _ACTIVE_PREFILTER
-    saved = _ACTIVE_PREFILTER
-    _ACTIVE_PREFILTER = state
-    try:
-        yield state
-    finally:
-        _ACTIVE_PREFILTER = saved
-
-
-# ---------------------------------------------------------------------------
-# Backend registry and per-domain engines
+# The process-wide engine
 # ---------------------------------------------------------------------------
 
-def _polyhedra_backend() -> DomainBackend:
-    from repro.logic.polyhedra import PolyhedraBackend
-
-    return PolyhedraBackend()
+#: The engine every ``Context`` operation asks; created lazily.
+_ENGINE: Optional[EntailmentEngine] = None
 
 
-#: Registered backend factories, keyed by domain name.
-_BACKEND_FACTORIES: Dict[str, Callable[[], DomainBackend]] = {
-    FM_DOMAIN: FourierMotzkinBackend,
-    "polyhedra": _polyhedra_backend,
-}
-
-#: One engine per domain, created lazily.
-_ENGINES: Dict[str, EntailmentEngine] = {}
-
-#: The domain a bare ``get_engine()`` resolves to; ``None`` = process default.
-_ACTIVE_DOMAIN: Optional[str] = None
+def get_engine() -> EntailmentEngine:
+    """The process-wide engine: Fourier-Motzkin behind the interval tier."""
+    global _ENGINE
+    if _ENGINE is None:
+        _ENGINE = EntailmentEngine()
+    return _ENGINE
 
 
-def register_backend(name: str,
-                     factory: Callable[[], DomainBackend]) -> None:
-    """Register (or replace) a backend factory under ``name``."""
-    _BACKEND_FACTORIES[name] = factory
-
-
-def available_domains() -> Tuple[str, ...]:
-    """The selectable abstract-domain backends, default first."""
-    names = sorted(_BACKEND_FACTORIES)
-    names.remove(FM_DOMAIN)
-    return (FM_DOMAIN, *names)
-
-
-def default_domain() -> str:
-    """The process-default domain: ``$REPRO_DOMAIN`` or ``fm``."""
-    return os.environ.get(DOMAIN_ENV) or FM_DOMAIN
-
-
-def resolve_domain(domain: Optional[str]) -> str:
-    """Validate a domain name (``None`` = the active domain)."""
-    name = domain if domain is not None else active_domain()
-    if name not in _BACKEND_FACTORIES:
-        raise ValueError(
-            f"unknown abstract domain {name!r}; "
-            f"available: {', '.join(available_domains())}")
-    return name
-
-
-def active_domain() -> str:
-    """The domain bare ``get_engine()`` calls currently resolve to."""
-    return _ACTIVE_DOMAIN if _ACTIVE_DOMAIN is not None else default_domain()
-
-
-def set_active_domain(domain: Optional[str]) -> str:
-    """Switch the active domain; returns the previously active name."""
-    global _ACTIVE_DOMAIN
-    previous = active_domain()
-    _ACTIVE_DOMAIN = resolve_domain(domain) if domain is not None else None
-    return previous
-
-
-@contextmanager
-def use_domain(domain: Optional[str]) -> Iterator[EntailmentEngine]:
-    """Run a block with ``domain`` active (restored on exit).
-
-    The analyzer pipeline wraps each analysis in this, so a per-job
-    ``domain`` option cannot leak into the next job in the same process.
-    """
-    name = resolve_domain(domain)
-    global _ACTIVE_DOMAIN
-    saved = _ACTIVE_DOMAIN
-    _ACTIVE_DOMAIN = name
-    try:
-        yield get_engine(name)
-    finally:
-        _ACTIVE_DOMAIN = saved
-
-
-def get_engine(domain: Optional[str] = None) -> EntailmentEngine:
-    """The process-wide engine of ``domain`` (default: the active domain)."""
-    name = resolve_domain(domain)
-    engine = _ENGINES.get(name)
-    if engine is None:
-        engine = EntailmentEngine(_BACKEND_FACTORIES[name]())
-        _ENGINES[name] = engine
-    return engine
-
-
-def clear_cache(domain: Optional[str] = None) -> None:
+def clear_cache() -> None:
     """Drop all cached entailment results (useful between experiments)."""
-    get_engine(domain).clear()
+    get_engine().clear()
 
 
-def reset_stats(domain: Optional[str] = None) -> None:
-    """Reset the hit/miss statistics of one process-wide engine."""
-    get_engine(domain).reset_stats()
+def reset_stats() -> None:
+    """Reset the hit/miss statistics of the process-wide engine."""
+    get_engine().reset_stats()
 
 
 # -- per-process lifecycle hooks (used by repro.service.scheduler) ----------
 
-def reset_engine(domain: Optional[str] = None) -> EntailmentEngine:
-    """Install brand-new engine instances and return the active one.
+def reset_engine() -> EntailmentEngine:
+    """Install a brand-new process-wide engine and return it.
 
     Worker processes call this from their initializer: a forked worker
-    inherits the parent's engine objects, and fresh instances both drop
-    that inherited state and guarantee that nothing the worker computes
+    inherits the parent's engine object, and a fresh instance both drops
+    that inherited state and guarantees that nothing the worker computes
     can leak back into (or appear to come from) the parent's caches.
-
-    With a ``domain`` only that backend's engine is replaced; without one
-    the whole registry is dropped (every backend starts cold), which is
-    what a worker that may serve jobs of either domain wants.
     """
-    if domain is not None:
-        name = resolve_domain(domain)
-        _ENGINES[name] = EntailmentEngine(_BACKEND_FACTORIES[name]())
-        return _ENGINES[name]
-    _ENGINES.clear()
-    return get_engine()
+    global _ENGINE
+    _ENGINE = EntailmentEngine()
+    return _ENGINE
 
 
-def engine_stats(domain: Optional[str] = None) -> Dict[str, object]:
-    """One engine's counters as a dict, including the per-tier breakdown.
+def engine_stats() -> Dict[str, object]:
+    """The engine's counters as a dict, including the per-tier breakdown.
 
     The ``tiers`` entry partitions answered queries by the tier that
-    decided them (``memo`` -> ``syntactic`` -> ``interval`` -> ``exact``);
-    ``prefilter`` records whether the interval tier is currently active.
+    decided them (``memo`` -> ``syntactic`` -> ``interval`` -> ``exact``).
     """
-    data = get_engine(domain).stats.as_dict()
-    data["prefilter"] = active_prefilter()
-    return data
+    return get_engine().stats.as_dict()
 
 
-def engine_fingerprint(domain: Optional[str] = None) -> Dict[str, object]:
-    """Identity + cache occupancy of one engine (for isolation tests)."""
-    engine = get_engine(domain)
+def engine_fingerprint() -> Dict[str, object]:
+    """Identity + cache occupancy of the engine (for isolation tests)."""
+    engine = get_engine()
     return {
         "pid": os.getpid(),
-        "domain": engine.domain,
         "engine_id": id(engine),
         "queries": engine.stats.queries,
         "eliminations": engine.stats.eliminations,
@@ -983,23 +803,54 @@ def engine_fingerprint(domain: Optional[str] = None) -> Dict[str, object]:
     }
 
 
-def warm_engine(domain: Optional[str] = None) -> EntailmentEngine:
+def warm_engine() -> EntailmentEngine:
     """Pay per-process one-time costs up front; return the warm engine.
 
     Importing the LP stack and exercising one tiny end-to-end query moves
     module-import and first-touch costs out of the first real job, so
     per-job wall times measured in a worker are comparable to a warm
-    sequential process.  The warm-up is backend-aware: the query runs
-    through the *named* domain's engine (default: the active domain), so a
-    worker pool configured for ``polyhedra`` jobs warms the polyhedra
-    backend instead of silently warming the default one.
+    sequential process.
     """
     import repro.core.solver          # noqa: F401  (scipy import)
     import repro.lang.parser          # noqa: F401
 
-    engine = get_engine(domain)
+    engine = get_engine()
     x = LinExpr({"x": 1})
     engine.entails((x,), x)
     engine.clear()
     engine.reset_stats()
     return engine
+
+
+# -- the test oracle ---------------------------------------------------------
+
+@contextmanager
+def oracle_engine(polyhedra: bool = False,
+                  prefilter: bool = True) -> Iterator[EntailmentEngine]:
+    """Test hook: run a block on a fresh engine over another exact path.
+
+    ``polyhedra=True`` swaps the Fourier-Motzkin backend for
+    :class:`~repro.logic.polyhedra.PolyhedraBackend`; ``prefilter=False``
+    sends every query past the interval tier.  Both must leave every answer
+    unchanged, which is what the identity and differential suites pin.
+    The rewrite memos of :mod:`repro.core.rewrite` embed entailment
+    answers, so they are cleared on entry and on exit: the block answers
+    its own queries instead of coasting on the production engine's, and
+    nothing it computes leaks back.
+    """
+    from repro.core.rewrite import clear_rewrite_caches
+
+    global _ENGINE
+    backend: Optional[DomainBackend] = None
+    if polyhedra:
+        from repro.logic.polyhedra import PolyhedraBackend
+
+        backend = PolyhedraBackend()
+    saved = _ENGINE
+    _ENGINE = EntailmentEngine(backend, prefilter=prefilter)
+    clear_rewrite_caches()
+    try:
+        yield _ENGINE
+    finally:
+        _ENGINE = saved
+        clear_rewrite_caches()

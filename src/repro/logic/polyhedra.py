@@ -1,4 +1,4 @@
-"""Exact rational polyhedra: the second abstract-domain backend.
+"""Exact rational polyhedra: the canonical form and the oracle backend.
 
 This module implements a convex-polyhedra abstract domain in the style of
 the Apron/PPL libraries, entirely over :class:`fractions.Fraction` so every
@@ -23,11 +23,13 @@ answer is exact (no widening-by-rounding, no floating point anywhere):
 :class:`PolyhedraBackend` adapts the domain to the
 :class:`~repro.logic.entailment.EntailmentEngine` backend interface, caching
 one constructed polyhedron per context so repeated queries against the same
-context cost one generator enumeration in total.  Select it with
-``--domain polyhedra`` (or ``REPRO_DOMAIN=polyhedra``); the Fourier-Motzkin
-backend remains the default.  Both backends are exact, so every decision
-query must agree -- ``tests/test_domain_differential.py`` asserts exactly
-that over randomized inequality systems.
+context cost one generator enumeration in total.  Production analyses run
+on the Fourier-Motzkin backend, which shares :func:`canonical_constraints`
+with this module; this backend is the tests' exact oracle, swapped in
+through :func:`repro.logic.entailment.oracle_engine`.  Both backends are
+exact, so every decision query must agree --
+``tests/test_domain_differential.py`` asserts exactly that over randomized
+inequality systems.
 """
 
 from __future__ import annotations

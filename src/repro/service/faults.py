@@ -40,7 +40,7 @@ kind                site             effect
                                      kill -9 mid-write would) and raise
 ``fm-cap``          ``engine.project`` raise
                                      :class:`~repro.logic.fourier_motzkin.ConstraintCapExceeded`
-                                     (exercises the domain-fallback rung)
+                                     (exercises the ``resource-limit`` status)
 =================== ================ ==========================================
 
 ``$REPRO_FAULTS`` grammar (semicolon-separated specs, comma-separated
@@ -115,8 +115,8 @@ class FaultSpec:
     probability: float = 1.0
     #: Substring filter on the site key ("" = every key).  Worker keys are
     #: ``<job_hash>:<attempt>``, store keys are the record hash, engine keys
-    #: are the active domain name -- so a spec can target one job, one
-    #: attempt, or one backend.
+    #: are the projection's comma-joined kept variables -- so a spec can
+    #: target one job, one attempt, or one query.
     match: str = ""
     #: Stop firing after this many activations in this process (None = no
     #: limit).  Counted per process; forked workers inherit the parent's

@@ -49,20 +49,17 @@ from repro.utils.polynomials import IntervalAtom, Monomial, Polynomial
 #: cap blowup is the structured ``resource-limit`` status instead of a raw
 #: error.
 #: v5: the LP solver selector (``solver`` option) is stamped into every job
-#: like ``domain`` was in v3.  The *selector* ("auto"/"scipy"/"highs") is
-#: hashed, not the machine-dependent resolution of ``auto`` -- the backends
-#: are byte-identical (warm/cold identity pin), so an ``auto`` job keys the
-#: same on a highspy-equipped machine and a SciPy-only one.
+#: like ``domain`` was in v3.
 #: v6: results carry the pre-flight lint diagnostics (``diagnostics``, a
 #: list of :meth:`repro.lang.analysis.Diagnostic.to_dict` records) and the
 #: pre-flight gate's ``lint-error`` status joins the cacheable set (lint is
 #: a deterministic function of the job content).
 #: v7: the interval pre-filter setting (``prefilter`` option) is stamped
-#: into every job like ``domain``/``solver``.  The pre-filter is
-#: observational (bounds and certificates are byte-identical on and off),
-#: but the stamp keeps provenance explicit and lets perfsmoke's
-#: ``--prefilter-compare`` leg address the two configurations separately.
-SCHEMA_VERSION = 7
+#: into every job like ``domain``/``solver``.
+#: v8: one production path.  The ``domain``, ``solver`` and ``prefilter``
+#: stamps leave the job hash and results drop their ``domain`` field: every
+#: job runs Fourier-Motzkin behind the interval tier and scipy ``linprog``.
+SCHEMA_VERSION = 8
 
 #: Statuses a job can end in.  ``ok``/``no-bound``/``parse-error`` are
 #: deterministic outcomes of the job's content and therefore cacheable;
@@ -112,41 +109,8 @@ class AnalysisJob:
     @classmethod
     def create(cls, name: str, source: str,
                options: Optional[Dict[str, object]] = None) -> "AnalysisJob":
-        """Build a job, resolving the abstract domain *now*.
-
-        A job without an explicit ``domain`` option is stamped with the
-        currently active domain: the environment default (``$REPRO_DOMAIN``)
-        is a per-process setting, so leaving it out of the job would let two
-        processes with different defaults share one content hash -- and the
-        store would serve one backend's cached results to the other.
-        Stamping at creation keeps hash and execution domain consistent
-        everywhere the job travels (workers, stores, servers).
-
-        The LP ``solver`` selector is stamped the same way (the per-process
-        ``$REPRO_SOLVER`` default, or ``"auto"``).  Unlike ``domain`` the
-        stamped value is the *selector*, not the resolved backend: ``auto``
-        resolves per machine, but the backends are byte-identical by the
-        warm/cold identity pin, so hashing the selector keeps one cache key
-        across heterogeneous workers.
-
-        The interval ``prefilter`` toggle is stamped as a bool (resolving
-        the per-process ``$REPRO_PREFILTER`` default now, schema v7).
-        """
-        from repro.core.lpsession import default_solver
-        from repro.logic.entailment import active_prefilter, resolve_prefilter
-
-        merged = dict(options or {})
-        if not merged.get("domain"):
-            from repro.logic.entailment import active_domain
-
-            merged["domain"] = active_domain()
-        if not merged.get("solver"):
-            merged["solver"] = default_solver()
-        if merged.get("prefilter") is None:
-            merged["prefilter"] = active_prefilter()
-        else:
-            merged["prefilter"] = resolve_prefilter(merged["prefilter"])
-        items = tuple(sorted(merged.items()))
+        """Build a job; the options are sorted so the hash is canonical."""
+        items = tuple(sorted((options or {}).items()))
         return cls(name=name, source=source, options=items)
 
     @property
@@ -172,23 +136,15 @@ def job_from_file(path: str, options: Optional[Dict[str, object]] = None,
     return AnalysisJob.create(name or path, source, options)
 
 
-def job_from_benchmark(benchmark,
-                       domain: Optional[str] = None,
-                       solver: Optional[str] = None) -> AnalysisJob:
+def job_from_benchmark(benchmark) -> AnalysisJob:
     """Turn a registry :class:`~repro.bench.registry.BenchmarkProgram` into a job.
 
     The program AST is printed back to concrete syntax (a bound-preserving
     round trip, see ``tests/test_parser_printer.py``) so the job carries only
-    text and the worker parses it afresh.  ``domain`` pins the job to an
-    abstract-domain backend and ``solver`` to an LP backend selector (None =
-    the process defaults, stamped by :meth:`AnalysisJob.create`).
+    text and the worker parses it afresh.
     """
-    options = dict(benchmark.analyzer_options)
-    if domain is not None:
-        options["domain"] = domain
-    if solver is not None:
-        options["solver"] = solver
-    return AnalysisJob.create(benchmark.name, benchmark.source_text(), options)
+    return AnalysisJob.create(benchmark.name, benchmark.source_text(),
+                              dict(benchmark.analyzer_options))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +232,6 @@ class JobResult:
     message: str = ""
     certificate: Optional[Dict[str, object]] = None
     engine: Dict[str, int] = field(default_factory=dict)
-    #: Abstract-domain backend that produced this result ("" for results
-    #: that never reached the analyzer, e.g. parse errors).
-    domain: str = ""
     worker_pid: int = 0
     #: Per-stage pipeline breakdown (attempted degrees, per-degree build/solve
     #: walls, escalation reuse ratio) -- see
@@ -289,9 +242,8 @@ class JobResult:
     #: and degradation-ladder reruns.
     attempts: int = 1
     #: Degradation provenance (schema v4): empty for first-class results;
-    #: otherwise e.g. ``{"kind": "domain-fallback", "from": "fm",
-    #: "to": "polyhedra", "reason": "resource-limit"}`` or ``{"kind":
-    #: "degree-fallback", "from": 2, "to": 1, "reason": "timeout"}``.
+    #: otherwise ``{"kind": "degree-fallback", "from": 2, "to": 1,
+    #: "reason": "timeout"}``.
     degraded: Dict[str, object] = field(default_factory=dict)
     #: Faults that fired while producing this result (schema v4): a list of
     #: ``{"site", "kind", "key", ...}`` dicts, injected ones from
@@ -313,9 +265,7 @@ class JobResult:
         Degree-fallback results are excluded even when their status is
         cacheable: they were produced under a *reduced* degree limit because
         the environment timed the job out, so a healthier run could do
-        better.  Domain-fallback results stay cacheable -- the exact-backend
-        identity invariant (``tests/test_domain_identity.py``) makes the
-        fallback answer byte-identical to the primary one.
+        better.
         """
         if self.degraded.get("kind") == "degree-fallback":
             return False
@@ -339,15 +289,15 @@ class JobResult:
         fields = {name: record[name] for name in (
             "name", "job_hash", "status", "wall_seconds", "degree", "bound",
             "lp_variables", "lp_constraints", "message", "certificate",
-            "engine", "domain", "worker_pid", "pipeline", "attempts",
+            "engine", "worker_pid", "pipeline", "attempts",
             "degraded", "fault_events", "diagnostics")}
         return cls(**fields)
 
 
 def result_from_analysis(job: AnalysisJob, analysis: AnalysisResult,
                          wall_seconds: float,
-                         engine_delta: Optional[Dict[str, int]] = None,
-                         domain: str = "") -> JobResult:
+                         engine_delta: Optional[Dict[str, int]] = None
+                         ) -> JobResult:
     """Flatten an in-process :class:`AnalysisResult` into a :class:`JobResult`."""
     import os
 
@@ -365,31 +315,17 @@ def result_from_analysis(job: AnalysisJob, analysis: AnalysisResult,
         certificate=(certificate_payload(analysis.certificate)
                      if analysis.certificate else None),
         engine=dict(engine_delta or {}),
-        domain=domain,
         worker_pid=os.getpid(),
         pipeline=analysis.stats.to_dict() if analysis.stats else {},
         diagnostics=[diag.to_dict() for diag in analysis.diagnostics],
     )
 
 
-def job_domain(job: AnalysisJob) -> str:
-    """The abstract domain this job runs under (option or the active one).
-
-    Mirrors the pipeline's own resolution (``use_domain(config.domain)``)
-    so the engine whose statistics are recorded is the engine that actually
-    answered the job's queries.
-    """
-    from repro.logic.entailment import active_domain
-
-    domain = job.options_dict.get("domain")
-    return str(domain) if domain else active_domain()
-
-
 def run_job(job: AnalysisJob) -> JobResult:
     """Execute one job in this process (the scheduler's worker entry point).
 
-    Never raises for job-content problems: parse errors, unknown domains
-    and analysis failures come back as structured statuses.  Only genuinely
+    Never raises for job-content problems: parse errors and analysis
+    failures come back as structured statuses.  Only genuinely
     unexpected exceptions are folded into an ``error`` result so a bad job
     cannot take the worker down.
     """
@@ -398,13 +334,10 @@ def run_job(job: AnalysisJob) -> JobResult:
     from repro.logic.entailment import get_engine
     from repro.service import faults
 
-    domain = job_domain(job)
     start = time.perf_counter()
+    engine = get_engine()
+    before = engine.stats.snapshot()
     try:
-        # Resolves the domain first so an unknown name fails as a
-        # structured error before any analysis work happens.
-        engine = get_engine(domain)
-        before = engine.stats.snapshot()
         analysis = analyze_source(job.source, **job.options_dict)
     except ParseError as exc:
         return JobResult(name=job.name, job_hash=job.job_hash,
@@ -420,6 +353,6 @@ def run_job(job: AnalysisJob) -> JobResult:
                          fault_events=faults.drain_events())
     wall = time.perf_counter() - start
     result = result_from_analysis(job, analysis, wall,
-                                  engine.stats.delta(before), domain=domain)
+                                  engine.stats.delta(before))
     result.fault_events = faults.drain_events()
     return result

@@ -213,8 +213,10 @@ class ResultStore:
 
         Takes the maintenance lock non-blockingly: when another process is
         quarantining (or pruning) concurrently, losing the race is fine --
-        the record is gone from the hot path either way -- but holding the
-        lock keeps two movers from interleaving the unlink+replace pair.
+        the record is gone from the hot path either way.  ``os.replace``
+        overwrites an earlier quarantined incarnation atomically (keeping
+        the newest evidence), and a late mover whose source is already gone
+        fails without touching the winner's file.
         """
         try:
             with self._maintenance_lock(blocking=False) as held:
@@ -223,10 +225,6 @@ class ResultStore:
                 os.makedirs(self.quarantine_root, exist_ok=True)
                 target = os.path.join(self.quarantine_root,
                                       f"{job_hash}.json")
-                if os.path.exists(target):
-                    # A previous incarnation is already quarantined; keep
-                    # the newest evidence.
-                    os.unlink(target)
                 os.replace(path, target)
                 return True
         except OSError:

@@ -311,94 +311,6 @@ class TestBatchCommand:
         assert "--workers" in capsys.readouterr().err
 
 
-class TestDomainSelection:
-    """--domain plumbing: analyze/batch/serve, unknown-domain handling."""
-
-    def test_analyze_with_each_domain(self, rdwalk_file, capsys):
-        bounds = {}
-        for domain in ("fm", "polyhedra"):
-            exit_code = main(["analyze", rdwalk_file, "--domain", domain])
-            output = capsys.readouterr().out
-            assert exit_code == 0
-            bounds[domain] = [line for line in output.splitlines()
-                              if "expected cost bound" in line]
-        # Both exact backends must print the identical bound line.
-        assert bounds["fm"] == bounds["polyhedra"]
-
-    def test_analyze_unknown_domain_exit_code(self, rdwalk_file, capsys):
-        # argparse rejects values outside the registered domain choices.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", rdwalk_file, "--domain", "octagons"])
-        assert excinfo.value.code == 2
-        assert "octagons" in capsys.readouterr().err
-
-    def test_batch_domain_is_part_of_cache_key(self, tmp_path, capsys):
-        programs = tmp_path / "programs"
-        programs.mkdir()
-        (programs / "walk.imp").write_text(RDWALK_SOURCE)
-        cache = tmp_path / "cache"
-
-        assert main(["batch", str(programs), "--cache-dir", str(cache),
-                     "--domain", "fm"]) == 0
-        first = capsys.readouterr().out
-        assert "computed" in first
-
-        # Same program under the other domain: a cache MISS, not a hit.
-        assert main(["batch", str(programs), "--cache-dir", str(cache),
-                     "--domain", "polyhedra"]) == 0
-        second = capsys.readouterr().out
-        assert "0 served from store" in second
-
-        # Re-running either domain hits its own record.
-        assert main(["batch", str(programs), "--cache-dir", str(cache),
-                     "--domain", "polyhedra"]) == 0
-        third = capsys.readouterr().out
-        assert "1 served from store" in third
-
-    def test_batch_unknown_domain_exit_code(self, tmp_path):
-        program = tmp_path / "walk.imp"
-        program.write_text(RDWALK_SOURCE)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["batch", str(program), "--no-cache", "--domain", "intervals"])
-        assert excinfo.value.code == 2
-
-    def test_serve_forwards_domain_default(self, monkeypatch):
-        captured = {}
-
-        def fake_serve(store=None, workers=0, default_options=None):
-            captured["options"] = default_options
-            return 0
-
-        import repro.service.server as server
-
-        monkeypatch.setattr(server, "serve_stdio", fake_serve)
-        assert main(["serve", "--no-cache", "--domain", "polyhedra"]) == 0
-        assert captured["options"] == {"domain": "polyhedra"}
-
-    def test_serve_request_domain_in_job_hash(self):
-        import io
-        import json as json_module
-
-        from repro.service.server import AnalysisServer
-
-        requests = "\n".join(
-            json_module.dumps({"op": "analyze", "id": index,
-                               "source": RDWALK_SOURCE,
-                               "options": {"domain": domain}})
-            for index, domain in enumerate(("fm", "polyhedra"))) + "\n"
-        output = io.StringIO()
-        AnalysisServer().serve(io.StringIO(requests), output)
-        records = [json_module.loads(line)
-                   for line in output.getvalue().splitlines()]
-        assert all(record["status"] == "ok" for record in records)
-        hashes = {record["result"]["job_hash"] for record in records}
-        domains = {record["result"]["domain"] for record in records}
-        assert len(hashes) == 2        # domain participates in the hash
-        assert domains == {"fm", "polyhedra"}
-        bounds = {record["result"]["bound"]["pretty"] for record in records}
-        assert len(bounds) == 1        # ... but the bound is identical
-
-
 class TestStoreCommand:
     def _seed(self, tmp_path):
         cache = tmp_path / "cache"
@@ -471,9 +383,52 @@ class TestServeGatewayFlags:
         monkeypatch.setattr(gateway, "run_gateway", fake_run_gateway)
         assert main(["serve", "--async", "--no-cache", "--port", "0",
                      "--queue-limit", "7", "--hot-cache-size", "3",
-                     "--domain", "fm"]) == 0
+                     "--degree-limit", "3"]) == 0
         assert captured["port"] == 0
         assert captured["queue_limit"] == 7
         assert captured["hot_cache_size"] == 3
-        assert captured["default_options"] == {"domain": "fm"}
+        assert captured["default_options"] == {"degree_limit": 3}
         assert captured["store"] is None
+
+
+#: Every variant selector the command lines used to accept, with the
+#: arguments the rest of the command line needs to parse.
+RETIRED_SELECTORS = [
+    ("repro.cli", ["analyze", "prog.imp"], ["--domain", "fm"]),
+    ("repro.cli", ["analyze", "prog.imp"], ["--solver", "scipy"]),
+    ("repro.cli", ["analyze", "prog.imp"], ["--prefilter", "on"]),
+    ("repro.cli", ["batch", "registry:linear"], ["--domain", "fm"]),
+    ("repro.cli", ["batch", "registry:linear"], ["--solver", "scipy"]),
+    ("repro.cli", ["batch", "registry:linear"], ["--prefilter", "on"]),
+    ("repro.cli", ["serve"], ["--domain", "fm"]),
+    ("repro.cli", ["serve"], ["--solver", "scipy"]),
+    ("repro.cli", ["serve"], ["--prefilter", "on"]),
+    ("repro.cli", ["bench"], ["--domain", "fm"]),
+    ("repro.cli", ["bench"], ["--solver", "scipy"]),
+    ("repro.bench.table1", [], ["--domain", "fm"]),
+    ("repro.bench.table1", [], ["--solver", "scipy"]),
+    ("repro.bench.perfsmoke", [], ["--domain", "fm"]),
+    ("repro.bench.perfsmoke", [], ["--solver", "scipy"]),
+    ("repro.bench.perfsmoke", [], ["--compare-domains"]),
+    ("repro.bench.perfsmoke", [], ["--prefilter-compare"]),
+    ("repro.bench.perfsmoke", [], ["--prefilter-min-hit-rate", "0.5"]),
+    ("repro.bench.perfsmoke", [], ["--escalation-min-solve-speedup", "1"]),
+]
+
+
+class TestRetiredSelectorFlags:
+    """One production path: no command line selects a variant."""
+
+    @pytest.mark.parametrize(
+        "module,command,flag", RETIRED_SELECTORS,
+        ids=[" ".join([module.rsplit(".", 1)[-1], *command[:1], flag[0]])
+             for module, command, flag in RETIRED_SELECTORS])
+    def test_flag_is_rejected_before_anything_runs(self, module, command,
+                                                   flag, capsys):
+        import importlib
+
+        entry = importlib.import_module(module).main
+        with pytest.raises(SystemExit) as excinfo:
+            entry([*command, *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err

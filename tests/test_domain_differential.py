@@ -33,8 +33,7 @@ from typing import Callable, List, Sequence, Set, Tuple
 import pytest
 
 from repro.logic import fourier_motzkin as fm
-from repro.logic.entailment import (EntailmentEngine, FourierMotzkinBackend,
-                                    use_prefilter)
+from repro.logic.entailment import EntailmentEngine, FourierMotzkinBackend
 from repro.logic.intervals import UNDECIDED, IntervalBox
 from repro.logic.polyhedra import PolyhedraBackend, Polyhedron
 from repro.utils.linear import LinExpr
@@ -83,10 +82,11 @@ def random_system(rng: random.Random) -> Tuple[int, List[LinExpr]]:
     return dimension, facts
 
 
-def fresh_engines() -> Tuple[EntailmentEngine, EntailmentEngine]:
+def fresh_engines(prefilter: bool = True
+                  ) -> Tuple[EntailmentEngine, EntailmentEngine]:
     """Isolated engine instances (no process-wide cache interference)."""
-    return (EntailmentEngine(FourierMotzkinBackend()),
-            EntailmentEngine(PolyhedraBackend()))
+    return (EntailmentEngine(FourierMotzkinBackend(), prefilter=prefilter),
+            EntailmentEngine(PolyhedraBackend(), prefilter=prefilter))
 
 
 # ---------------------------------------------------------------------------
@@ -233,22 +233,21 @@ class TestIntervalTier:
             def mismatch(candidate: Sequence[LinExpr]) -> List[str]:
                 candidate_box = IntervalBox.from_facts(frozenset(candidate))
                 problems: List[str] = []
-                with use_prefilter(False):
-                    for engine in fresh_engines():
-                        name = engine.backend.name
-                        verdict = candidate_box.entails(query)
-                        if verdict is not UNDECIDED and verdict \
-                                != engine.entails(tuple(candidate), query):
-                            problems.append(f"entails vs {name}")
-                        sat = candidate_box.is_satisfiable()
-                        if sat is not UNDECIDED and sat \
-                                != engine.is_feasible(tuple(candidate)):
-                            problems.append(f"is_satisfiable vs {name}")
-                        value = candidate_box.glb(query)
-                        if value is not UNDECIDED and value \
-                                != engine.greatest_lower_bound(
-                                    tuple(candidate), query):
-                            problems.append(f"glb vs {name}")
+                for engine in fresh_engines(prefilter=False):
+                    name = engine.backend.name
+                    verdict = candidate_box.entails(query)
+                    if verdict is not UNDECIDED and verdict \
+                            != engine.entails(tuple(candidate), query):
+                        problems.append(f"entails vs {name}")
+                    sat = candidate_box.is_satisfiable()
+                    if sat is not UNDECIDED and sat \
+                            != engine.is_feasible(tuple(candidate)):
+                        problems.append(f"is_satisfiable vs {name}")
+                    value = candidate_box.glb(query)
+                    if value is not UNDECIDED and value \
+                            != engine.greatest_lower_bound(
+                                tuple(candidate), query):
+                        problems.append(f"glb vs {name}")
                 return problems
 
             def disagrees(candidate: Sequence[LinExpr]) -> bool:

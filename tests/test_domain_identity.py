@@ -1,13 +1,13 @@
-"""Registry-wide reproducibility: both domains produce identical results.
+"""Registry-wide reproducibility: the oracle paths produce identical results.
 
-The polyhedra backend answers the same exact queries as the Fourier-Motzkin
-backend and shares the representation-producing projection, so a full
-analysis must be *byte-identical* across ``--domain fm`` and ``--domain
-polyhedra``: the same bound string, the same serialised certificate (every
-annotated program point, every weakening context, every rewrite
-combination).  This is the strongest cheap guarantee that switching the
-backend can never change an analysis result -- any divergence is a
-soundness bug in one of the engines.
+The polyhedra backend answers the same exact queries as the production
+Fourier-Motzkin backend and shares the representation-producing
+projection, so a full analysis must be *byte-identical* on both: the same
+bound string, the same serialised certificate (every annotated program
+point, every weakening context, every rewrite combination).  The same holds
+with the interval pre-filter tier switched off.  Both oracle paths are
+reached through :func:`repro.logic.entailment.oracle_engine`; any
+divergence is a soundness bug in one of the engines.
 
 The AST node counter is process-global, so each analysis rebuilds its
 program after resetting the counter; ids are then deterministic per build
@@ -24,15 +24,16 @@ import pytest
 from repro.bench.registry import all_benchmarks
 from repro.core.analyzer import analyze_program
 from repro.lang import ast
+from repro.logic.entailment import oracle_engine
 from repro.service.jobs import bound_payload, certificate_payload
 
 
-def _analyze(bench, domain: str, **options):
-    """Fresh build (deterministic node ids) + analysis under ``domain``."""
+def _analyze(bench, polyhedra: bool = False, prefilter: bool = True):
+    """Fresh build (deterministic node ids) + analysis on a fresh engine."""
     ast._NODE_COUNTER = itertools.count(1)
     program = bench.build()
-    return analyze_program(program, **{**bench.analyzer_options,
-                                       "domain": domain, **options})
+    with oracle_engine(polyhedra=polyhedra, prefilter=prefilter):
+        return analyze_program(program, **bench.analyzer_options)
 
 
 def _serialised(result):
@@ -52,8 +53,8 @@ def _serialised(result):
 @pytest.mark.parametrize("bench", all_benchmarks(),
                          ids=lambda bench: bench.name)
 def test_registry_bounds_and_certificates_identical(bench):
-    under_fm = _analyze(bench, "fm")
-    under_polyhedra = _analyze(bench, "polyhedra")
+    under_fm = _analyze(bench)
+    under_polyhedra = _analyze(bench, polyhedra=True)
     assert under_fm.success and under_polyhedra.success, (
         f"{bench.name}: fm={under_fm.message!r} "
         f"polyhedra={under_polyhedra.message!r}")
@@ -65,8 +66,7 @@ def test_registry_bounds_and_certificates_identical(bench):
 
 
 #: Every third benchmark: enough variety (linear, polynomial, recursive)
-#: to exercise all tier paths without doubling the tier-1 wall; the full
-#: registry runs through ``perfsmoke --prefilter-compare``.
+#: to exercise all tier paths without doubling the tier-1 wall.
 _PREFILTER_SAMPLE = all_benchmarks()[::3]
 
 
@@ -80,8 +80,9 @@ def test_prefilter_on_off_identical(bench, domain):
     an analysis with the pre-filter enabled must serialise byte-identically
     to one without it -- bounds, LP shape and the full certificate.
     """
-    with_tier = _analyze(bench, domain, prefilter=True)
-    without_tier = _analyze(bench, domain, prefilter=False)
+    polyhedra = domain == "polyhedra"
+    with_tier = _analyze(bench, polyhedra, prefilter=True)
+    without_tier = _analyze(bench, polyhedra, prefilter=False)
     left, right = _serialised(with_tier), _serialised(without_tier)
     assert left == right, (
         f"{bench.name} [{domain}]: the pre-filter changed the analysis\n"

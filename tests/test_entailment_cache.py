@@ -157,13 +157,13 @@ class TestEdgeCases:
             engine.project(facts, frozenset())
 
     def test_memory_error_fallback_in_context_assign(self, monkeypatch):
-        # Force the constraint cap to blow immediately: under the FM
-        # backend the strongest-post projection must fall back to havoc
+        # Force the constraint cap to blow immediately: on a fresh FM
+        # engine the strongest-post projection must fall back to havoc
         # instead of crashing.
         from repro.logic import entailment
         monkeypatch.setattr(fm, "MAX_CONSTRAINTS", 0)
         context = Context([X - 1, 10 - X, Y - 2])
-        with entailment.use_domain("fm"):
+        with entailment.oracle_engine():
             result = context.assign("x", X + Y)
             havoced = context.havoc("x")
             assert set(result.facts) == set(havoced.facts)
@@ -177,9 +177,9 @@ class TestEdgeCases:
         original_cap = fm.MAX_CONSTRAINTS
         monkeypatch.setattr(fm, "MAX_CONSTRAINTS", 0)
         context = Context([X - 1, 10 - X, Y - 2])
-        with entailment.use_domain("polyhedra"):
+        with entailment.oracle_engine(polyhedra=True):
             exact = context.assign("x", X + Y)
-        with entailment.use_domain("fm"):
+        with entailment.oracle_engine():
             monkeypatch.setattr(fm, "MAX_CONSTRAINTS", original_cap)
             reference = context.assign("x", X + Y)
         assert set(exact.facts) == set(reference.facts)
@@ -241,64 +241,73 @@ class TestContextIntegration:
         assert 0.0 <= stats["hit_rate"] <= 1.0
 
 
-class TestBackendRegistry:
-    """Per-domain engines: selection, switching and lifecycle hooks."""
+class TestProcessEngine:
+    """The one process-wide engine, its lifecycle hooks and the test oracle."""
 
-    def test_get_engine_is_per_domain(self):
+    def test_get_engine_is_the_fm_engine_behind_the_interval_tier(self):
         from repro.logic import entailment
 
-        fm_engine = entailment.get_engine("fm")
-        poly_engine = entailment.get_engine("polyhedra")
-        assert fm_engine is not poly_engine
-        assert fm_engine.domain == "fm"
-        assert poly_engine.domain == "polyhedra"
-        assert entailment.get_engine("fm") is fm_engine       # stable
+        engine = entailment.get_engine()
+        assert engine.backend.name == "fm"
+        assert engine.prefilter is True
+        assert entailment.get_engine() is engine              # stable
 
-    def test_unknown_domain_raises(self):
+    def test_reset_engine_installs_a_fresh_engine(self):
         from repro.logic import entailment
 
-        with pytest.raises(ValueError, match="octagons"):
-            entailment.get_engine("octagons")
+        old = entailment.get_engine()
+        fresh = entailment.reset_engine()
+        assert fresh is not old
+        assert entailment.get_engine() is fresh
 
-    def test_use_domain_switches_and_restores(self):
+    def test_warm_engine_warms_the_process_engine(self):
         from repro.logic import entailment
 
-        baseline = entailment.active_domain()
-        with entailment.use_domain("polyhedra") as engine:
-            assert entailment.active_domain() == "polyhedra"
+        entailment.reset_engine()
+        warmed = entailment.warm_engine()
+        assert warmed is entailment.get_engine()
+        assert warmed.stats.queries == 0
+
+    def test_oracle_engine_switches_and_restores(self):
+        from repro.logic import entailment
+
+        baseline = entailment.get_engine()
+        with entailment.oracle_engine(polyhedra=True,
+                                      prefilter=False) as engine:
             assert entailment.get_engine() is engine
-        assert entailment.active_domain() == baseline
+            assert engine.backend.name == "polyhedra"
+            assert engine.prefilter is False
+        assert entailment.get_engine() is baseline
 
-    def test_reset_engine_is_backend_aware(self):
+    def test_oracle_engine_clears_the_rewrite_memos(self):
+        from repro.core import rewrite
         from repro.logic import entailment
 
-        fm_engine = entailment.get_engine("fm")
-        poly_engine = entailment.get_engine("polyhedra")
-        # Named reset replaces exactly that engine.
-        fresh = entailment.reset_engine("polyhedra")
-        assert fresh is not poly_engine
-        assert entailment.get_engine("fm") is fm_engine
-        # Bare reset drops the whole registry.
-        entailment.reset_engine()
-        assert entailment.get_engine("fm") is not fm_engine
+        def fill() -> None:
+            rewrite._REWRITE_CACHE[("probe",)] = []
+            rewrite._ATOM_REWRITE_CACHE[("probe",)] = ([], [])
+            rewrite._DIFF_CACHE[("probe", "probe")] = X
 
-    def test_warm_engine_warms_the_named_backend(self):
-        from repro.logic import entailment
+        def memos():
+            return (dict(rewrite._REWRITE_CACHE),
+                    dict(rewrite._ATOM_REWRITE_CACHE),
+                    dict(rewrite._DIFF_CACHE))
 
-        entailment.reset_engine()
-        warmed = entailment.warm_engine("polyhedra")
-        assert warmed.domain == "polyhedra"
-        assert warmed is entailment.get_engine("polyhedra")
+        fill()
+        with entailment.oracle_engine(polyhedra=True):
+            assert memos() == ({}, {}, {})      # nothing from production
+            fill()
+        assert memos() == ({}, {}, {})          # nothing leaks back
 
     def test_queries_agree_across_backends_via_context(self):
         from repro.logic import entailment
 
         x = LinExpr.var("x")
         gamma = Context([x - 1])                 # x >= 1
-        with entailment.use_domain("fm"):
+        with entailment.oracle_engine():
             fm_answers = (gamma.entails(x), gamma.greatest_lower_bound(x),
                           gamma.is_satisfiable())
-        with entailment.use_domain("polyhedra"):
+        with entailment.oracle_engine(polyhedra=True):
             poly_answers = (gamma.entails(x), gamma.greatest_lower_bound(x),
                             gamma.is_satisfiable())
         assert fm_answers == poly_answers == (True, 1, True)

@@ -4,9 +4,10 @@ Covers the :mod:`repro.logic.intervals` box itself (bounds harvesting,
 propagation, witness points, unboundedness certificates -- every decided
 answer must equal the exact backend's), the engine's tier accounting
 (interval hits never double-count syntactic hits, ``entails_context``'s
-subset short circuit stays out of every tier), the ``prefilter`` toggle
-(identical answers on and off), the generator-side ``assign`` acceptance
-pin (zero Fourier-Motzkin eliminations under the polyhedra domain), and
+subset short circuit stays out of every tier), the prefilter-off oracle
+path (identical answers on and off), the generator-side ``assign``
+acceptance pin (zero Fourier-Motzkin eliminations under the polyhedra
+oracle), and
 the ``Context`` error-handling satellites (a genuine ``MemoryError``
 propagates out of ``assign``; the constraint cap still degrades to havoc;
 ``greatest_lower_bound`` answers ``None`` on unreachable contexts).
@@ -21,8 +22,7 @@ import pytest
 from repro.logic import fourier_motzkin as fm
 from repro.logic.contexts import Context
 from repro.logic.entailment import (EntailmentEngine, FourierMotzkinBackend,
-                                    get_engine, reset_engine, resolve_prefilter,
-                                    use_domain, use_prefilter)
+                                    get_engine, oracle_engine, reset_engine)
 from repro.logic.intervals import UNDECIDED, IntervalBox
 from repro.logic.polyhedra import PolyhedraBackend
 from repro.utils.linear import LinExpr
@@ -170,20 +170,20 @@ class TestBoxDeciders:
                    X + 2 * Y - LinExpr.const(51)]
         for facts in systems:
             box = IntervalBox.from_facts(facts)
-            with use_prefilter(False):
-                engine = EntailmentEngine(FourierMotzkinBackend())
-                for query in queries:
-                    verdict = box.entails(query)
-                    if verdict is not UNDECIDED:
-                        assert verdict == engine.entails(tuple(facts), query), \
-                            (facts, query)
-                    value = box.glb(query)
-                    if value is not UNDECIDED:
-                        assert value == engine.greatest_lower_bound(
-                            tuple(facts), query), (facts, query)
-                sat = box.is_satisfiable()
-                if sat is not UNDECIDED:
-                    assert sat == engine.is_feasible(tuple(facts)), facts
+            engine = EntailmentEngine(FourierMotzkinBackend(),
+                                      prefilter=False)
+            for query in queries:
+                verdict = box.entails(query)
+                if verdict is not UNDECIDED:
+                    assert verdict == engine.entails(tuple(facts), query), \
+                        (facts, query)
+                value = box.glb(query)
+                if value is not UNDECIDED:
+                    assert value == engine.greatest_lower_bound(
+                        tuple(facts), query), (facts, query)
+            sat = box.is_satisfiable()
+            if sat is not UNDECIDED:
+                assert sat == engine.is_feasible(tuple(facts)), facts
 
 
 # ---------------------------------------------------------------------------
@@ -198,22 +198,19 @@ class TestTierCounters:
     def test_interval_hit_counted_once(self):
         engine = self.make_engine()
         facts = (X, Y, N - X - Y)
-        with use_prefilter(True):
-            assert engine.greatest_lower_bound(facts, X + Y) == Fraction(0)
+        assert engine.greatest_lower_bound(facts, X + Y) == Fraction(0)
         assert engine.stats.interval_hits == 1
         assert engine.stats.misses == 0
         # Second ask is a memo hit, not another interval hit.
-        with use_prefilter(True):
-            engine.greatest_lower_bound(facts, X + Y)
+        engine.greatest_lower_bound(facts, X + Y)
         assert engine.stats.interval_hits == 1
         assert engine.stats.memo_hits == 1
 
     def test_syntactic_hit_not_double_counted_as_interval(self):
         engine = self.make_engine()
         facts = (X - LinExpr.const(1),)
-        with use_prefilter(True):
-            # The query IS a fact: the syntactic tier answers first.
-            assert engine.entails(facts, X - LinExpr.const(1)) is True
+        # The query IS a fact: the syntactic tier answers first.
+        assert engine.entails(facts, X - LinExpr.const(1)) is True
         assert engine.stats.fast_hits == 1
         assert engine.stats.interval_hits == 0
 
@@ -230,10 +227,9 @@ class TestTierCounters:
         engine = self.make_engine()
         facts = (X, Y, N - X - Y, X - Y)
         queries = [X, X + Y, X - Y - LinExpr.const(3), N - X]
-        with use_prefilter(True):
-            engine.entails_many(facts, queries)
-            engine.is_feasible(facts)
-            engine.greatest_lower_bound(facts, X + Y)
+        engine.entails_many(facts, queries)
+        engine.is_feasible(facts)
+        engine.greatest_lower_bound(facts, X + Y)
         tiers = engine.stats.tiers()
         assert sum(tiers.values()) == engine.stats.queries
 
@@ -254,48 +250,25 @@ class TestTierCounters:
 
 class TestPrefilterToggle:
 
-    def test_resolve_values(self):
-        assert resolve_prefilter(True) is True
-        assert resolve_prefilter("on") is True
-        assert resolve_prefilter("off") is False
-        assert resolve_prefilter(False) is False
-        with pytest.raises(ValueError):
-            resolve_prefilter("sometimes")
-
-    def test_resolve_none_follows_active_setting(self):
-        with use_prefilter(False):
-            assert resolve_prefilter(None) is False
-        with use_prefilter(True):
-            assert resolve_prefilter(None) is True
-
     def test_answers_identical_on_and_off(self):
         facts = (X, Y, N - X - Y, X - Y)
         queries = [X, -X, X + Y, X - Y - LinExpr.const(3), N - X,
                    2 * X - LinExpr.const(5)]
         for backend in (FourierMotzkinBackend, PolyhedraBackend):
             on_engine = EntailmentEngine(backend())
-            off_engine = EntailmentEngine(backend())
-            with use_prefilter(True):
-                on = [on_engine.entails(facts, q) for q in queries]
-                on_glb = [on_engine.greatest_lower_bound(facts, q)
-                          for q in queries]
-                on_sat = on_engine.is_feasible(facts)
-            with use_prefilter(False):
-                off = [off_engine.entails(facts, q) for q in queries]
-                off_glb = [off_engine.greatest_lower_bound(facts, q)
-                           for q in queries]
-                off_sat = off_engine.is_feasible(facts)
+            off_engine = EntailmentEngine(backend(), prefilter=False)
+            on = [on_engine.entails(facts, q) for q in queries]
+            on_glb = [on_engine.greatest_lower_bound(facts, q)
+                      for q in queries]
+            on_sat = on_engine.is_feasible(facts)
+            off = [off_engine.entails(facts, q) for q in queries]
+            off_glb = [off_engine.greatest_lower_bound(facts, q)
+                       for q in queries]
+            off_sat = off_engine.is_feasible(facts)
             assert on == off
             assert on_glb == off_glb
             assert on_sat == off_sat
             assert off_engine.stats.interval_hits == 0
-
-    def test_engine_stats_reports_prefilter_state(self):
-        from repro.logic.entailment import engine_stats
-        with use_prefilter(False):
-            assert engine_stats()["prefilter"] is False
-        with use_prefilter(True):
-            assert engine_stats()["prefilter"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +278,7 @@ class TestPrefilterToggle:
 class TestAssignWithoutElimination:
 
     def test_polyhedra_assign_never_runs_fourier_motzkin(self):
-        engine = reset_engine("polyhedra")
-        with use_domain("polyhedra"):
+        with oracle_engine(polyhedra=True) as engine:
             context = Context([X, Y, N - X - Y])
             context = context.assign("x", X + LinExpr.const(1))
             context = context.assign_interval("y", Y, Fraction(0), Fraction(2))

@@ -1,40 +1,20 @@
-"""Tests for the persistent LP solver sessions (``repro.core.lpsession``).
+"""Tests for the staged LP solve over one growing assembly.
 
-The correctness pin of the warm-starting PR, in the spirit of
-``test_pipeline_incremental.py``: for every registry benchmark that
-escalates degrees, bounds and serialised certificates must be
-byte-identical across the SciPy reference backend, the ``auto``-resolved
-backend, and a forced mid-run cold-fallback run -- and on the native
-``highs`` backend the pipeline must actually report warm solves and basis
-reuses.  Also covers the ``SolverBackend`` registry, the extras-assembly
-cache, the ``--solver`` job-hash stamping and the CLI surface.
+Every solve is a scipy ``linprog`` call over
+:meth:`~repro.core.solver.AssembledSystem.matrices`.  What is pinned here:
+the extras cache appends one objective-fixing row per stage instead of
+re-stacking the whole block, and :class:`~repro.core.solver.
+IterativeMinimizer` keeps its stage rows to one attempt, so the next
+degree starts from the base system alone.
 """
-
-import json
 
 import numpy as np
 import pytest
 
-from repro.bench.registry import polynomial_benchmarks
 from repro.core.analyzer import analyze_program
 from repro.core.constraints import ConstraintSystem
-from repro.core.lpsession import (AUTO, SOLVER_BACKENDS, ScipySession,
-                                  _highspy, available_solver_backends,
-                                  create_session, default_solver,
-                                  force_cold_solves, resolve_solver_backend,
-                                  solver_choices)
 from repro.core.solver import AssembledSystem, IterativeMinimizer
 from repro.lang import builder as B
-from repro.service.jobs import AnalysisJob
-
-from tests.test_pipeline_incremental import canonical_certificate
-
-POLYNOMIAL = polynomial_benchmarks()
-
-HAVE_HIGHSPY = _highspy() is not None
-
-needs_highspy = pytest.mark.skipif(
-    not HAVE_HIGHSPY, reason="optional highspy dependency not installed")
 
 
 def nested_loop_program():
@@ -56,125 +36,7 @@ def small_system():
 
 
 # ---------------------------------------------------------------------------
-# The backend registry
-# ---------------------------------------------------------------------------
-
-class TestSolverRegistry:
-    def test_scipy_is_always_registered_and_available(self):
-        assert "scipy" in SOLVER_BACKENDS
-        assert "scipy" in available_solver_backends()
-
-    def test_choices_cover_auto_and_backends(self):
-        choices = solver_choices()
-        assert AUTO in choices
-        assert "scipy" in choices and "highs" in choices
-
-    def test_auto_resolves_to_an_available_backend(self):
-        resolved = resolve_solver_backend(None)
-        assert resolved in available_solver_backends()
-        assert resolve_solver_backend("auto") == resolved
-        # auto prefers the native backend exactly when it is importable.
-        assert resolved == ("highs" if HAVE_HIGHSPY else "scipy")
-
-    def test_explicit_scipy_resolves(self):
-        assert resolve_solver_backend("scipy") == "scipy"
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown LP solver"):
-            resolve_solver_backend("simplex9000")
-
-    @pytest.mark.skipif(HAVE_HIGHSPY, reason="highspy installed here")
-    def test_unavailable_backend_raises(self):
-        with pytest.raises(ValueError, match="not available"):
-            resolve_solver_backend("highs")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        assert default_solver() == AUTO
-        monkeypatch.setenv("REPRO_SOLVER", "scipy")
-        assert default_solver() == "scipy"
-        assert resolve_solver_backend(None) == "scipy"
-
-    def test_create_session_returns_named_backend(self):
-        system, _, _ = small_system()
-        session = create_session("scipy", AssembledSystem(system))
-        assert isinstance(session, ScipySession)
-        assert session.name == "scipy"
-
-
-# ---------------------------------------------------------------------------
-# Session behaviour on a tiny LP
-# ---------------------------------------------------------------------------
-
-def _session_for(name):
-    system, x, y = small_system()
-    return create_session(name, AssembledSystem(system)), x, y
-
-
-def session_names():
-    return available_solver_backends()
-
-
-@pytest.mark.parametrize("backend", session_names())
-class TestSessionProtocol:
-    def test_solve_finds_the_optimum(self, backend):
-        session, x, y = _session_for(backend)
-        values = session.solve(x + y)
-        assert values is not None
-        assert np.allclose(values, [1.0, 1.0], atol=1e-6)
-
-    def test_stage_rows_constrain_later_solves(self, backend):
-        session, x, y = _session_for(backend)
-        values = session.solve(x + y)
-        assert values is not None
-        session.fix_objective(x + y, 2.0 + 1e-7)
-        # Maximising x (minimising -x) under the fixed sum keeps x + y <= 2.
-        values = session.solve(x * -1)
-        assert values is not None
-        assert values[0] + values[1] <= 2.0 + 1e-5
-        assert session.stats.stage_rows_added == 1
-        session.clear_stage_rows()
-        values = session.solve(x * -1)
-        # Unbounded after the fix row is gone: either reported as
-        # infeasible/unbounded (None) or a huge x -- both prove the row left.
-        assert values is None or values[0] > 10.0
-
-    def test_infeasible_reports_none(self, backend):
-        system = ConstraintSystem()
-        x = system.new_var("x", nonneg=True)
-        system.add_ge(-x - 1)          # -x - 1 >= 0, impossible for x >= 0
-        session = create_session(backend, AssembledSystem(system))
-        assert session.solve(x) is None
-
-    def test_forced_cold_routes_through_reference_path(self, backend):
-        session, x, y = _session_for(backend)
-        with force_cold_solves():
-            values = session.solve(x + y)
-        assert values is not None
-        assert np.allclose(values, [1.0, 1.0], atol=1e-6)
-        assert session.stats.cold_solves == 1
-        assert session.stats.warm_solves == 0
-
-
-class TestScipySessionIsTheReferencePath:
-    def test_matches_direct_assembled_solve(self):
-        system, x, y = small_system()
-        assembled = AssembledSystem(system)
-        session = ScipySession(assembled)
-        direct = assembled.solve(x + y)
-        via_session = session.solve(x + y)
-        assert np.array_equal(direct, via_session)
-        assert session.stats.cold_solves == 1
-
-    def test_minimizer_uses_transient_scipy_session(self):
-        system, x, y = small_system()
-        solution = IterativeMinimizer(system).solve([x + y])
-        assert solution is not None
-        assert float(solution.objective_values[0]) == pytest.approx(2.0)
-
-
-# ---------------------------------------------------------------------------
-# The extras-assembly cache (satellite: no full re-stack per stage)
+# The extras-assembly cache (no full re-stack per stage)
 # ---------------------------------------------------------------------------
 
 class TestExtrasCache:
@@ -230,187 +92,57 @@ class TestExtrasCache:
 
 
 # ---------------------------------------------------------------------------
-# Registry-wide warm/cold identity (the acceptance pin)
+# Stage rows belong to one attempt
 # ---------------------------------------------------------------------------
 
-def _escalating_options(options):
-    target = int(options.get("max_degree", 1))
-    return {**options, "max_degree": 1, "auto_degree": True,
-            "degree_limit": target}, target
+class TestStageRows:
+    def test_minimizer_solves_without_an_assembly(self):
+        system, x, y = small_system()
+        solver = IterativeMinimizer(system)
+        solution = solver.solve([x + y])
+        assert solution is not None
+        assert float(solution.objective_values[0]) == pytest.approx(2.0)
+        assert solver.solves == 1
 
+    def test_stage_rows_constrain_later_stages(self):
+        system, x, y = small_system()
+        assembled = AssembledSystem(system)
+        # Minimising x + y fixes x + y <= 2; the second stage maximises x
+        # (minimises -x) under that row and x == y, so x stays at 1.
+        solution = IterativeMinimizer(system).solve([x + y, x * -1],
+                                                    assembled=assembled)
+        assert solution is not None
+        assert solution.raw_values[0] == pytest.approx(1.0, abs=1e-6)
+        # The second solve saw exactly the first stage's fixing row.
+        prefix, block, _ = assembled._extras_cache
+        assert len(prefix) == 1 and block.shape[0] == 1
 
-class TestWarmColdIdentity:
-    """Bounds and certificates identical across backends and fallbacks."""
+    def test_stage_rows_are_cleared_between_attempts(self):
+        system, x, y = small_system()
+        assembled = AssembledSystem(system)
+        IterativeMinimizer(system).solve([x + y], assembled=assembled)
+        # A new attempt over the same assembly starts without the earlier
+        # attempt's x + y <= 2 row: maximising x is unbounded again.
+        assert assembled.solve(x * -1) is None
+        again = IterativeMinimizer(system)
+        assert again.solve([x * -1], assembled=assembled) is None
+        assert again.solves == 1
 
-    @pytest.mark.parametrize("bench", POLYNOMIAL, ids=lambda b: b.name)
-    def test_registry_identity_across_solvers(self, bench):
-        options, target = _escalating_options(dict(bench.analyzer_options))
-        program = bench.build()
-        reference = analyze_program(program, **{**options, "solver": "scipy"})
-        if reference.degree < target:
-            pytest.skip(f"{bench.name} already has a degree-1 bound")
-        assert reference.success, f"{bench.name}: {reference.message}"
-        assert reference.stats.solver_backend == "scipy"
-        assert reference.stats.attempted_degrees == [1, target]
+    def test_stale_assembly_is_rejected(self):
+        system, x, y = small_system()
+        assembled = AssembledSystem(system)
+        system.add_ge(x - 1)
+        with pytest.raises(ValueError, match="stale"):
+            IterativeMinimizer(system).solve([x + y], assembled=assembled)
 
-        # The auto-resolved backend (highs where installed, scipy here).
-        auto = analyze_program(program, **{**options, "solver": "auto"})
-        assert auto.success
-        assert auto.bound.pretty() == reference.bound.pretty()
-        assert canonical_certificate(auto.certificate) \
-            == canonical_certificate(reference.certificate)
-
-        # A forced mid-run cold fallback: every warm solve degrades to the
-        # reference path, which must change nothing.
-        with force_cold_solves():
-            fallback = analyze_program(program, **{**options,
-                                                   "solver": "auto"})
-        assert fallback.success
-        assert fallback.bound.pretty() == reference.bound.pretty()
-        assert canonical_certificate(fallback.certificate) \
-            == canonical_certificate(reference.certificate)
-        assert fallback.stats.warm_solves == 0
-        assert fallback.stats.cold_solves > 0
-
-    def test_scipy_counters(self):
-        program = nested_loop_program()
-        result = analyze_program(program, max_degree=1, auto_degree=True,
-                                 degree_limit=2, solver="scipy")
+    def test_pipeline_counts_one_solve_per_stage(self):
+        result = analyze_program(nested_loop_program(), max_degree=1,
+                                 auto_degree=True, degree_limit=2)
         assert result.success and result.degree == 2
         stats = result.stats
-        assert stats.solver_backend == "scipy"
-        assert stats.warm_solves == 0 and stats.basis_reuses == 0
-        assert stats.cold_solves > 0
+        assert stats.warm_solves == 0
+        assert stats.cold_solves == stats.lp_solves > 0
         stage_dicts = [stage.to_dict() for stage in stats.stages]
-        for entry in stage_dicts:
-            for key in ("warm_solves", "cold_solves", "basis_reuses",
-                        "solver_fallbacks"):
-                assert key in entry
-        assert sum(entry["cold_solves"] for entry in stage_dicts) \
-            == stats.cold_solves
-
-    @needs_highspy
-    @pytest.mark.parametrize("bench", POLYNOMIAL, ids=lambda b: b.name)
-    def test_registry_identity_highs_backend(self, bench):
-        options, target = _escalating_options(dict(bench.analyzer_options))
-        program = bench.build()
-        reference = analyze_program(program, **{**options, "solver": "scipy"})
-        if reference.degree < target:
-            pytest.skip(f"{bench.name} already has a degree-1 bound")
-        warm = analyze_program(program, **{**options, "solver": "highs"})
-        assert warm.success
-        assert warm.bound.pretty() == reference.bound.pretty()
-        assert canonical_certificate(warm.certificate) \
-            == canonical_certificate(reference.certificate)
-        assert warm.stats.solver_backend == "highs"
-
-    @needs_highspy
-    def test_highs_reports_warm_solves_and_basis_reuses(self):
-        program = nested_loop_program()
-        result = analyze_program(program, max_degree=1, auto_degree=True,
-                                 degree_limit=2, solver="highs")
-        assert result.success and result.degree == 2
-        stats = result.stats
-        assert stats.solver_backend == "highs"
-        assert stats.warm_solves > 0
-        assert stats.basis_reuses > 0
-
-    def test_unknown_solver_is_a_structured_failure(self):
-        program = nested_loop_program()
-        result = analyze_program(program, solver="simplex9000")
-        assert not result.success
-        assert result.failure_kind == "analysis-error"
-        assert "unknown LP solver" in result.message
-
-    @pytest.mark.skipif(HAVE_HIGHSPY, reason="highspy installed here")
-    def test_unavailable_solver_is_a_structured_failure(self):
-        program = nested_loop_program()
-        result = analyze_program(program, solver="highs")
-        assert not result.success
-        assert result.failure_kind == "analysis-error"
-        assert "not available" in result.message
-
-
-# ---------------------------------------------------------------------------
-# Job stamping (the --solver option participates in the cache key)
-# ---------------------------------------------------------------------------
-
-class TestJobStamping:
-    SOURCE = "proc main(x) { assume(x >= 1); while (x > 0) { x = x - 1; tick(1); } }"
-
-    def test_default_selector_is_stamped(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        job = AnalysisJob.create("toy", self.SOURCE)
-        assert job.options_dict["solver"] == AUTO
-
-    def test_env_default_is_stamped(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "scipy")
-        job = AnalysisJob.create("toy", self.SOURCE)
-        assert job.options_dict["solver"] == "scipy"
-
-    def test_explicit_option_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "scipy")
-        job = AnalysisJob.create("toy", self.SOURCE, {"solver": "auto"})
-        assert job.options_dict["solver"] == AUTO
-
-    def test_selector_changes_the_hash(self):
-        auto = AnalysisJob.create("toy", self.SOURCE, {"solver": "auto"})
-        scipy_job = AnalysisJob.create("toy", self.SOURCE,
-                                       {"solver": "scipy"})
-        assert auto.job_hash != scipy_job.job_hash
-
-    def test_selector_not_resolution_is_hashed(self, monkeypatch):
-        # Two processes with different *available* backends agree on the
-        # hash of an ``auto`` job: the selector is stamped, never the
-        # machine-dependent resolution.
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        job = AnalysisJob.create("toy", self.SOURCE)
-        assert job.options_dict["solver"] == AUTO
-        assert json.dumps(job.options_dict, sort_keys=True, default=str) \
-            == json.dumps(AnalysisJob.create("toy", self.SOURCE).options_dict,
-                          sort_keys=True, default=str)
-
-    def test_job_from_benchmark_passthrough(self):
-        from repro.bench.registry import get_benchmark
-        from repro.service.jobs import job_from_benchmark
-
-        job = job_from_benchmark(get_benchmark("rdwalk"), solver="scipy")
-        assert job.options_dict["solver"] == "scipy"
-
-    def test_run_job_accepts_the_stamped_option(self):
-        from repro.service.jobs import run_job
-
-        job = AnalysisJob.create("toy", self.SOURCE, {"solver": "scipy"})
-        result = run_job(job)
-        assert result.status == "ok"
-        assert result.pipeline.get("solver") == "scipy"
-
-
-# ---------------------------------------------------------------------------
-# CLI surface
-# ---------------------------------------------------------------------------
-
-class TestCliSolverFlag:
-    def _write_program(self, tmp_path):
-        path = tmp_path / "toy.imp"
-        path.write_text(
-            "proc main(x) { assume(x >= 1); "
-            "while (x > 0) { x = x - 1; tick(1); } }\n",
-            encoding="utf-8")
-        return str(path)
-
-    def test_analyze_accepts_scipy(self, tmp_path, capsys):
-        from repro import cli
-
-        code = cli.main(["analyze", self._write_program(tmp_path),
-                         "--solver", "scipy"])
-        assert code == 0
-        assert "expected cost bound" in capsys.readouterr().out
-
-    def test_analyze_rejects_unknown(self, tmp_path):
-        from repro import cli
-
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["analyze", self._write_program(tmp_path),
-                      "--solver", "simplex9000"])
-        assert excinfo.value.code == 2
+        assert sum(entry["lp_solves"] for entry in stage_dicts) \
+            == stats.lp_solves
+        assert stats.to_dict()["lp_solves"] == stats.lp_solves

@@ -31,6 +31,7 @@ from repro.lang import builder as B
 from repro.lang.distributions import Uniform
 from repro.lang.parser import parse_program
 from repro.lang.printer import program_to_source
+from repro.logic.entailment import oracle_engine
 from repro.semantics.sampler import estimate_expected_cost
 
 #: Program count per property (each program is tiny; the suite stays fast).
@@ -157,13 +158,13 @@ def test_bounds_dominate_sampled_means():
 
 
 def test_soundness_holds_under_polyhedra_domain():
-    """The same soundness property with the polyhedra backend active."""
+    """The same soundness property with the polyhedra oracle active."""
     rng = random.Random(0x5EED)  # same stream: same programs as above
     analyzed = 0
     for index in range(PROGRAM_COUNT // 3):
         program = random_program(rng)
-        result = analyze_program(program, max_degree=1, degree_limit=2,
-                                 domain="polyhedra")
+        with oracle_engine(polyhedra=True):
+            result = analyze_program(program, max_degree=1, degree_limit=2)
         if not result.success:
             continue
         analyzed += 1

@@ -13,6 +13,7 @@ from repro.core.basegen import (
     template_monomials_for_loop,
     template_monomials_for_procedure,
 )
+from repro.core import rewrite
 from repro.core.rewrite import applicable_monomials, generate_rewrites
 from repro.lang import ast
 from repro.lang import builder as B
@@ -91,6 +92,19 @@ class TestRewriteGeneration:
         monomials = applicable_monomials(rewrites)
         assert Monomial.of_atom(X) in monomials
         assert Monomial.one() in monomials
+
+    def test_clear_rewrite_caches_drops_every_memo(self):
+        # A context whose atom pool has a pair, so the atom-difference memo
+        # is filled alongside the rewrite memos.
+        context = Context([LinExpr({"x": 1}, -1), LinExpr({"n": 1})])
+        pool = [Monomial.of_atom(X), Monomial.of_atom(N_MINUS_X)]
+        generate_rewrites(context, pool, 1)
+        assert rewrite._REWRITE_CACHE and rewrite._ATOM_REWRITE_CACHE
+        assert rewrite._DIFF_CACHE
+        rewrite.clear_rewrite_caches()
+        assert not rewrite._REWRITE_CACHE
+        assert not rewrite._ATOM_REWRITE_CACHE
+        assert not rewrite._DIFF_CACHE
 
 
 class TestDeadVariables:

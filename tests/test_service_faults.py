@@ -2,7 +2,8 @@
 
 Covers the ISSUE-6 checklist items: retry/backoff determinism (the seeded
 jitter schedule is exactly reproducible), store-fault survival, the
-fm-cap -> polyhedra degradation rung, and the store quarantine round trip.
+structured ``resource-limit`` status of an fm-cap blowup, and the store
+quarantine round trip.
 """
 
 import json
@@ -250,69 +251,30 @@ class TestStoreQuarantine:
         assert store.quarantine_count() == 1   # one file per hash
 
 
-class TestDomainFallback:
-    """The fm-cap -> polyhedra rung of the degradation ladder."""
+class TestConstraintCapBlowup:
+    """An FM constraint-cap blowup is the structured ``resource-limit``."""
 
     def test_injected_cap_blowup_yields_resource_limit(self):
         from repro.logic.entailment import reset_engine
 
         reset_engine()
-        faults.configure([FaultSpec("fm-cap", match="fm")], seed=0)
-        result = run_job(AnalysisJob.create("rdwalk", RDWALK,
-                                            {"domain": "fm"}))
+        faults.configure([FaultSpec("fm-cap")], seed=0)
+        result = run_job(AnalysisJob.create("rdwalk", RDWALK))
         assert result.status == "resource-limit"
         assert "constraint cap" in result.message
         assert any(event["kind"] == "fm-cap" for event in result.fault_events)
 
-    def test_scheduler_retries_under_polyhedra(self):
+    def test_the_scheduler_reports_the_blowup_unladdered(self):
         from repro.logic.entailment import reset_engine
 
         reset_engine()
-        baseline = run_job(AnalysisJob.create("rdwalk", RDWALK,
-                                              {"domain": "fm"}))
-        assert baseline.status == "ok"
-        reset_engine()
-        # The fault only hits the fm backend: the fallback run is clean.
-        faults.configure([FaultSpec("fm-cap", match="fm")], seed=0)
-        job = AnalysisJob.create("rdwalk", RDWALK, {"domain": "fm"})
+        faults.configure([FaultSpec("fm-cap")], seed=0)
+        job = AnalysisJob.create("rdwalk", RDWALK)
         report = run_batch([job], SchedulerConfig(workers=0))
         result = report.results[0]
-        assert result.status == "ok"
-        assert result.domain == "polyhedra"
-        assert result.degraded == {"kind": "domain-fallback", "from": "fm",
-                                   "to": "polyhedra",
-                                   "reason": "resource-limit"}
-        assert result.attempts == 2
-        # Reported under the *original* job identity...
-        assert result.job_hash == job.job_hash
-        # ...with the byte-identical bound the fm run would have produced.
-        assert result.bound == baseline.bound
-        assert len(report.degraded) == 1
-
-    def test_no_degrade_keeps_the_structured_failure(self):
-        from repro.logic.entailment import reset_engine
-
-        reset_engine()
-        faults.configure([FaultSpec("fm-cap", match="fm")], seed=0)
-        job = AnalysisJob.create("rdwalk", RDWALK, {"domain": "fm"})
-        report = run_batch([job], SchedulerConfig(workers=0, degrade=False))
-        assert report.results[0].status == "resource-limit"
-
-    def test_degraded_results_are_cached_under_the_original_hash(self,
-                                                                 tmp_path):
-        from repro.logic.entailment import reset_engine
-
-        reset_engine()
-        store = ResultStore(str(tmp_path))
-        faults.configure([FaultSpec("fm-cap", match="fm")], seed=0)
-        job = AnalysisJob.create("rdwalk", RDWALK, {"domain": "fm"})
-        run_batch([job], SchedulerConfig(workers=0, store=store))
-        faults.disable()
-        # Sound to cache: the polyhedra answer is byte-identical by the
-        # domain-identity invariant, and the provenance rides along.
-        cached = store.get(job.job_hash)
-        assert cached is not None
-        assert cached.degraded["kind"] == "domain-fallback"
+        assert result.status == "resource-limit"
+        assert result.degraded == {} and result.attempts == 1
+        assert not report.degraded
 
 
 class TestDegradedCacheability:
@@ -323,17 +285,10 @@ class TestDegradedCacheability:
                                      "reason": "timeout"})
         assert not result.cacheable
 
-    def test_domain_fallback_results_stay_cacheable(self):
-        result = JobResult(name="t", job_hash="ab" * 32, status="ok",
-                           degraded={"kind": "domain-fallback",
-                                     "from": "fm", "to": "polyhedra",
-                                     "reason": "resource-limit"})
-        assert result.cacheable
-
     def test_schema_v4_record_round_trip(self):
         result = JobResult(name="t", job_hash="ab" * 32, status="ok",
                            attempts=3,
-                           degraded={"kind": "domain-fallback"},
+                           degraded={"kind": "degree-fallback"},
                            fault_events=[{"site": "pool",
                                           "kind": "worker-lost",
                                           "key": "ab:1"}])

@@ -133,39 +133,37 @@ class TestJobFactories:
         assert result.bound_pretty == direct.bound.pretty()
 
 
-class TestDomainStamping:
-    """Jobs resolve their abstract domain at creation, not at run time."""
+class TestOneProductionPath:
+    """No environment selects a variant; older records read as misses."""
 
-    def test_jobs_are_stamped_with_the_active_domain(self):
-        from repro.logic.entailment import active_domain
-
-        job = AnalysisJob.create("t", "proc main(x) { tick(1); }")
-        assert job.options_dict["domain"] == active_domain()
-
-    def test_env_default_domain_participates_in_the_hash(self, monkeypatch):
-        source = "proc main(x) { tick(1); }"
-        monkeypatch.setenv("REPRO_DOMAIN", "fm")
-        under_fm = AnalysisJob.create("t", source)
+    def test_retired_selector_env_vars_do_not_move_the_hash(self,
+                                                           monkeypatch):
+        for name in ("REPRO_DOMAIN", "REPRO_SOLVER", "REPRO_PREFILTER"):
+            monkeypatch.delenv(name, raising=False)
+        clean = AnalysisJob.create("walk", RDWALK, {"max_degree": 1})
         monkeypatch.setenv("REPRO_DOMAIN", "polyhedra")
-        under_poly = AnalysisJob.create("t", source)
-        # Two processes with different $REPRO_DOMAIN defaults must never
-        # share one content hash -- otherwise the store would serve one
-        # backend's cached results to the other.
-        assert under_fm.job_hash != under_poly.job_hash
-        assert under_fm.options_dict["domain"] == "fm"
-        assert under_poly.options_dict["domain"] == "polyhedra"
+        monkeypatch.setenv("REPRO_SOLVER", "highs")
+        monkeypatch.setenv("REPRO_PREFILTER", "off")
+        stamped = AnalysisJob.create("walk", RDWALK, {"max_degree": 1})
+        assert stamped.options == clean.options == (("max_degree", 1),)
+        assert stamped.job_hash == clean.job_hash
 
-    def test_explicit_domain_wins_over_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DOMAIN", "polyhedra")
-        job = AnalysisJob.create("t", "proc main(x) { tick(1); }",
-                                 {"domain": "fm"})
-        assert job.options_dict["domain"] == "fm"
+    def test_a_schema_v7_record_reads_as_a_miss(self, tmp_path):
+        import json
+        import os
 
-    def test_job_from_benchmark_accepts_a_domain(self, monkeypatch):
-        from repro.bench.registry import get_benchmark
+        from repro.service.store import ResultStore, record_checksum
 
-        bench = get_benchmark("ber")
-        monkeypatch.setenv("REPRO_DOMAIN", "fm")
-        assert job_from_benchmark(bench).options_dict["domain"] == "fm"
-        pinned = job_from_benchmark(bench, domain="polyhedra")
-        assert pinned.options_dict["domain"] == "polyhedra"
+        store = ResultStore(str(tmp_path))
+        job = AnalysisJob.create("walk", RDWALK)
+        record = run_job(job).to_record()
+        record.update(schema=7, domain="fm")
+        record["checksum"] = record_checksum(record)
+        path = store._path(job.job_hash)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(record, handle)
+        assert SCHEMA_VERSION == 8
+        assert store.get(job.job_hash) is None
+        assert store.stats.invalid == 1
+        assert store.quarantine_count() == 0   # replaceable, not corrupt

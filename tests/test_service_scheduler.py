@@ -188,24 +188,22 @@ class TestMisc:
         assert results[0].status == "parse-error"
 
 
-class TestInvalidDomainSurvival:
-    """An unknown abstract domain degrades to structured errors, not a dead pool."""
+class TestUnknownOptionSurvival:
+    """An option the analyzer does not know (such as the retired ``domain``
+    selector) degrades to a structured error, not a dead pool."""
 
-    def test_pool_survives_invalid_env_domain(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DOMAIN", "octagons")
-        jobs = [AnalysisJob.create("bad-domain",
-                                   "proc main(x) { tick(1); }")]
-        assert jobs[0].options_dict["domain"] == "octagons"
+    def test_pool_survives_an_unknown_option(self):
+        jobs = [AnalysisJob.create("bad-option",
+                                   "proc main(x) { tick(1); }",
+                                   {"domain": "polyhedra"})]
         results = scheduler_module.run_jobs(jobs, workers=1)
-        # The worker initializer must not take the pool down; the job comes
-        # back as a structured error naming the unknown domain.
         assert results[0].status == "error"
-        assert "octagons" in results[0].message
+        assert "domain" in results[0].message
 
-    def test_inline_invalid_domain_matches_pool_behaviour(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DOMAIN", "octagons")
-        jobs = [AnalysisJob.create("bad-domain",
-                                   "proc main(x) { tick(1); }")]
+    def test_inline_unknown_option_matches_pool_behaviour(self):
+        jobs = [AnalysisJob.create("bad-option",
+                                   "proc main(x) { tick(1); }",
+                                   {"domain": "polyhedra"})]
         results = scheduler_module.run_jobs(jobs, workers=0)
         assert results[0].status == "error"
-        assert "octagons" in results[0].message
+        assert "domain" in results[0].message

@@ -111,38 +111,3 @@ class TestRobustness:
         for job_hash in hashes:
             store.put(_result(job_hash=job_hash))
         assert list(store.iter_hashes()) == sorted(hashes)
-
-
-class TestDomainIsolation:
-    """Results cached under one abstract domain are never served to the other."""
-
-    def test_domain_results_never_alias(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        fm_job = AnalysisJob.create("rdwalk", RDWALK, {"domain": "fm"})
-        poly_job = AnalysisJob.create("rdwalk", RDWALK, {"domain": "polyhedra"})
-        assert fm_job.job_hash != poly_job.job_hash
-
-        fm_result = run_job(fm_job)
-        store.put(fm_result)
-        assert fm_result.domain == "fm"
-        # The polyhedra job misses: the fm record cannot leak across.
-        assert store.get(poly_job.job_hash) is None
-        assert store.stats.misses == 1
-
-        poly_result = run_job(poly_job)
-        store.put(poly_result)
-        assert poly_result.domain == "polyhedra"
-        fetched = store.get(poly_job.job_hash)
-        assert fetched is not None
-        assert fetched.domain == "polyhedra"
-        # Exact backends: distinct records, identical payloads.
-        assert fetched.bound == fm_result.bound
-
-    def test_engine_fingerprint_tracks_domain(self):
-        from repro.logic.entailment import engine_fingerprint
-
-        fm_print = engine_fingerprint("fm")
-        poly_print = engine_fingerprint("polyhedra")
-        assert fm_print["domain"] == "fm"
-        assert poly_print["domain"] == "polyhedra"
-        assert fm_print["engine_id"] != poly_print["engine_id"]

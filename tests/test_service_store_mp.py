@@ -183,3 +183,22 @@ class TestQuarantineUnderFaults:
         assert not os.path.exists(
             os.path.join(root, record.job_hash[:2],
                          f"{record.job_hash}.json"))
+
+    def test_a_late_mover_keeps_the_winners_evidence(self, tmp_path):
+        """Two movers in a fixed order: the winner moves the corrupt record
+        into quarantine, the loser finds its source gone and must leave the
+        winner's quarantined file in place."""
+        root = str(tmp_path)
+        record = _result(8)
+        ResultStore(root).put(record)
+        winner, loser = ResultStore(root), ResultStore(root)
+        path = winner._path(record.job_hash)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("{ corrupt")
+        assert winner._quarantine(path, record.job_hash)
+        assert not loser._quarantine(path, record.job_hash)
+        assert loser.quarantine_count() == 1
+        evidence = os.path.join(loser.quarantine_root,
+                                f"{record.job_hash}.json")
+        with open(evidence, "r", encoding="utf-8") as handle:
+            assert handle.read() == "{ corrupt"
