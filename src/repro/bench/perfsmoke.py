@@ -699,15 +699,12 @@ def _lint_pass(benchmarks, total_wall: float) -> Dict[str, object]:
 
     prepared = []
     for bench in benchmarks:
-        program = parse_program(bench.source_text())
-        initial = set(program.main_procedure.params)
         counter = bench.analyzer_options.get("resource_counter")
-        if counter:
-            initial.add(str(counter))
-        prepared.append((bench.name, program, initial))
+        prepared.append((bench.name, parse_program(bench.source_text()),
+                         str(counter) if counter else None))
     start = time.perf_counter()
-    results = [(name, lint_program(program, initial_state=initial))
-               for name, program, initial in prepared]
+    results = [(name, lint_program(program, counter=counter))
+               for name, program, counter in prepared]
     wall = time.perf_counter() - start
     dirty = [name for name, diagnostics in results
              if max_severity(diagnostics) == "error"]

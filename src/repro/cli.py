@@ -212,26 +212,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return table1.main(forwarded)
 
 
-def _lint_text(source: str, counter: Optional[str] = None,
-               main: Optional[str] = None):
-    """Lint one source text, seeding the resource counter as initialized.
-
-    The counter variable (``analyzer_options['resource_counter']`` for
-    registry benchmarks, ``--counter`` for files) is zero-initialized by
-    convention, so ``cost = cost + s`` must not read as uninitialized.
-    """
-    from repro.lang.analysis import lint_source
-
-    initial = None
-    if counter:
-        try:
-            program = parse_program(source, main=main)
-            initial = set(program.main_procedure.params) | {counter}
-        except ParseError:
-            initial = None   # lint_source will report the R001 itself
-    return lint_source(source, main=main, initial_state=initial)
-
-
 def _collect_lint_targets(targets: Sequence[str],
                           counter: Optional[str] = None):
     """Resolve lint targets to ``(name, source, resource_counter)`` triples.
@@ -275,7 +255,7 @@ def _collect_lint_targets(targets: Sequence[str],
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
-    from repro.lang.analysis import severity_counts
+    from repro.lang.analysis import lint_source, severity_counts
 
     triples = _collect_lint_targets(args.targets, counter=args.counter)
     if not triples:
@@ -283,7 +263,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     statuses: List[str] = []
     reports: List[Dict[str, object]] = []
     for name, source, counter in triples:
-        diagnostics = _lint_text(source, counter=counter)
+        diagnostics = lint_source(source, counter=counter)
         counts = severity_counts(diagnostics)
         if any(diag.code == "R001" for diag in diagnostics):
             status = "parse-error"
@@ -325,11 +305,11 @@ def _cmd_list(args: argparse.Namespace) -> int:
             print(name)
         return EXIT_OK
     from repro.bench.registry import get_benchmark
-    from repro.lang.analysis import severity_counts
+    from repro.lang.analysis import lint_source, severity_counts
 
     for name in names:
         benchmark = get_benchmark(name)
-        diagnostics = _lint_text(
+        diagnostics = lint_source(
             benchmark.source_text(),
             counter=benchmark.analyzer_options.get("resource_counter"))
         if not diagnostics:

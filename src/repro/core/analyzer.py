@@ -152,15 +152,9 @@ class ExpectedCostAnalyzer:
 
             from repro.lang.analysis import lint_program
 
-            # The resource counter is zero-initialized by convention, so
-            # counter updates such as ``cost = cost + s`` are not
-            # uninitialized reads.
-            initial = set(self.program.main_procedure.params)
-            if self.config.resource_counter:
-                initial.add(self.config.resource_counter)
             start = time.perf_counter()
-            diagnostics = tuple(lint_program(self.program,
-                                             initial_state=initial))
+            diagnostics = tuple(lint_program(
+                self.program, counter=self.config.resource_counter))
             elapsed = time.perf_counter() - start
             errors = [diag for diag in diagnostics
                       if diag.severity == "error"]

@@ -19,7 +19,7 @@ converts those ``ValueError``s into positioned ``ParseError``s -- which
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.lang import ast
 from repro.lang.analysis.diagnostics import Diagnostic
@@ -153,22 +153,23 @@ def _walk_roots(program: ast.Program) -> List[Tuple[ast.Procedure, Set[str]]]:
 def lint_program(program: ast.Program,
                  max_steps: int = DEFAULT_MAX_STEPS,
                  choice_mode: Optional[str] = "random",
-                 initial_state: Optional[Iterable[str]] = None
+                 counter: Optional[str] = None
                  ) -> List[Diagnostic]:
     """Run every lint pass; returns diagnostics in source order.
 
-    ``initial_state`` overrides the variables considered initialized on
-    entry (default: the main procedure's parameters).  ``max_steps`` and
-    ``choice_mode`` parameterize the vectorizability pre-check exactly
-    like ``VecInterpreter``'s constructor.
+    On entry to ``main`` its parameters count as initialized, and so does
+    the resource ``counter`` when given: it is zero-initialized by
+    convention, so ``cost = cost + s`` is not an uninitialized read.
+    ``max_steps`` and ``choice_mode`` parameterize the vectorizability
+    pre-check exactly like ``VecInterpreter``'s constructor.
     """
     diagnostics: List[Diagnostic] = []
     diagnostics += _declaration_pass(program)
     diagnostics += _distribution_pass(program)
 
     for index, (proc, initial) in enumerate(_walk_roots(program)):
-        if index == 0 and initial_state is not None:
-            initial = set(initial_state)
+        if index == 0 and counter:
+            initial.add(counter)
         walker = FlowWalker(program, proc, initial)
         walker.run()
         diagnostics += walker.diagnostics
@@ -192,7 +193,7 @@ def lint_program(program: ast.Program,
 def lint_source(text: str, main: Optional[str] = None,
                 max_steps: int = DEFAULT_MAX_STEPS,
                 choice_mode: Optional[str] = "random",
-                initial_state: Optional[Iterable[str]] = None
+                counter: Optional[str] = None
                 ) -> List[Diagnostic]:
     """Parse and lint ``text``; parse failures become an ``R001`` record.
 
@@ -209,4 +210,4 @@ def lint_source(text: str, main: Optional[str] = None,
                            hint="fix the syntax error; no further checks "
                                 "were run")]
     return lint_program(program, max_steps=max_steps,
-                        choice_mode=choice_mode, initial_state=initial_state)
+                        choice_mode=choice_mode, counter=counter)

@@ -1,4 +1,4 @@
-"""Batch-analysis orchestration: jobs, scheduler, persistent store, server.
+"""Batch-analysis orchestration: jobs, scheduler, store, request core, servers.
 
 This layer turns the one-shot analyzer (:mod:`repro.core.analyzer`) into a
 throughput-oriented system:
@@ -15,7 +15,14 @@ throughput-oriented system:
   the chaos tests and the CI chaos leg;
 * :mod:`repro.service.store` -- the on-disk content-addressed result cache
   (checksummed records, corrupt-entry quarantine);
-* :mod:`repro.service.server` -- the ``repro serve`` JSON request loop.
+* :mod:`repro.service.requests` -- the request core: decoding, the error
+  envelope, job validation and the ``ping``/``lint``/``stats``/``health``
+  answers, one implementation for both transports;
+* :mod:`repro.service.server` -- the ``repro serve`` stdio transport: an
+  in-order request loop over the core and :func:`run_batch`;
+* :mod:`repro.service.gateway` -- the ``repro serve --async`` TCP
+  transport: the core plus cache tiers, coalescing, admission control and
+  streamed batches.
 
 See ARCHITECTURE.md for where this sits in the layer cake.
 """

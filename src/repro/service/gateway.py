@@ -36,15 +36,12 @@ accepting connections, drains in-flight requests (their responses are
 still delivered and their store writes still land), retires the worker
 pool, and exits 0.
 
-Protocol (one JSON object per line, newline-terminated)::
-
-    {"op": "analyze", "id": 1, "source": "proc main(n) {...}",
-     "options": {"max_degree": 2}, "name": "mine"}
-    {"op": "batch", "id": 2, "jobs": [{"source": "..."}, ...]}
-    {"op": "stats", "id": 3}
-    {"op": "health", "id": 4}
-    {"op": "ping"}
-    {"op": "shutdown"}
+Protocol: the stdio loop's (:mod:`repro.service.server`), one JSON object
+per line.  Decoding, the error envelope, the ``id`` echo, job validation
+and the ``ping``/``lint``/``stats``/``health``/``shutdown`` answers come
+from the shared request core (:mod:`repro.service.requests`); this module
+adds the tiers, coalescing, admission and streaming to ``analyze`` and
+``batch``, and its own counters and pool state to ``stats``/``health``.
 
 ``analyze`` responses::
 
@@ -64,12 +61,12 @@ import socket
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.service import requests
 from repro.service.cache import DEFAULT_HOT_CACHE_SIZE, HotResultCache
 from repro.service.jobs import AnalysisJob, JobResult
 from repro.service.retry import RetryPolicy
-from repro.service.scheduler import (SupervisedPool, _execute_job,
-                                     apply_degradation)
-from repro.service.server import _job_from_request
+from repro.service.scheduler import (SupervisedPool, _execute_job, named_for,
+                                     settle_result)
 from repro.service.store import ResultStore
 
 #: Gateway defaults: loopback only (an analysis service executes nothing,
@@ -97,6 +94,10 @@ class GatewayBusy(Exception):
     def __init__(self, retry_after: float) -> None:
         super().__init__(f"gateway saturated; retry in {retry_after}s")
         self.retry_after = retry_after
+
+    def answer(self) -> Dict[str, object]:
+        return {"status": "busy", "error": str(self),
+                "retry_after": self.retry_after}
 
 
 class GatewayStats:
@@ -267,142 +268,69 @@ class AnalysisGateway:
         """Handle one request line; always answers exactly once (or, for a
         batch, once per job plus a summary)."""
         self.stats.requests += 1
-        request_id = None
+        request_id = op = None
         try:
-            payload = json.loads(line)
-            if not isinstance(payload, dict):
-                raise ValueError("request must be a JSON object")
-            request_id = payload.get("id")
-            op = payload.get("op", "analyze")
+            payload = requests.decode(line)
+            request_id, op = payload.get("id"), payload.get("op", "analyze")
             if op == "batch":
                 await self._handle_batch(payload, writer, write_lock)
                 return
-            if op == "shutdown":
-                response: Dict[str, object] = {"op": "shutdown", "ok": True}
-                if request_id is not None:
-                    response["id"] = request_id
-                await self._send(writer, write_lock, response)
-                self.request_shutdown()
-                return
-            response = await self._handle_simple(op, payload)
+            response = await self._answer(op, payload)
         except GatewayBusy as busy:
             self.stats.busy_rejections += 1
-            response = {"op": "analyze", "status": "busy",
-                        "error": str(busy),
-                        "retry_after": busy.retry_after}
-        except (ValueError, TypeError, KeyError) as exc:
-            self.stats.errors += 1
-            response = {"error": str(exc)}
-        except asyncio.CancelledError:
-            raise
+            response = {"op": "analyze", **busy.answer()}
         except Exception as exc:  # noqa: BLE001 -- one request must never
-            # take the gateway down; unexpected failures become a
-            # structured error naming the exception class.
+            # take the gateway down.
             self.stats.errors += 1
-            response = {"error": f"{type(exc).__name__}: {exc}"}
-        if request_id is not None:
-            response.setdefault("id", request_id)
-        await self._send(writer, write_lock, response)
+            response = requests.error_response(exc)
+        await self._send(writer, write_lock,
+                         requests.echo_id(response, request_id))
+        if op == "shutdown":
+            self.request_shutdown()
 
-    async def _handle_simple(self, op: str,
-                             payload: Dict[str, object]) -> Dict[str, object]:
-        if op == "ping":
-            return {"op": "ping", "ok": True}
-        if op == "stats":
-            return self._handle_stats()
-        if op == "health":
-            return self._handle_health()
+    async def _answer(self, op: str,
+                      payload: Dict[str, object]) -> Dict[str, object]:
         if op == "analyze":
-            job = _job_from_request(payload, self.stats.requests,
-                                    self.default_options)
-            result, tier = await self._resolve(job)
-            return {"op": "analyze", "status": result.status,
-                    "tier": tier, "cached": tier in ("memory", "store"),
-                    "result": result.to_record()}
-        if op == "lint":
-            return await self._handle_lint(payload)
-        raise ValueError(f"unknown op {op!r}")
-
-    async def _handle_lint(self,
-                           payload: Dict[str, object]) -> Dict[str, object]:
-        """Run the static lint passes over one source text.
-
-        Lint is deterministic and cheap (no LP, no derivation), so it
-        bypasses the cache tiers and the worker pool; the walk still runs
-        on an executor thread to keep the event loop responsive.
-        """
-        from repro.lang.analysis import (lint_source, max_severity,
-                                         severity_counts)
-
-        source = payload.get("source")
-        if not isinstance(source, str):
-            raise ValueError("'lint' needs a 'source' string")
-        name = str(payload.get("name") or "<request>")
-        options = payload.get("options") or {}
-        if not isinstance(options, dict):
-            raise ValueError("'options' must be an object")
-        # Mirror the analyzer's pre-flight seeding: the resource counter
-        # is zero-initialized by convention.
-        counter = options.get("resource_counter")
+            job = requests.job_from_request(payload, self.stats.requests,
+                                            self.default_options)
+            return {"op": "analyze", **self._tiered(*await self._resolve(job))}
+        # The core's ops bypass the tiers and the pool, but they are
+        # synchronous (lint walks the program, health counts the store's
+        # records): run them on an executor thread, off the event loop.
         loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, requests.handle, payload,
+                                          self.store, self._transport_view)
 
-        def run_lint():
-            from repro.lang.parser import parse_program
-            try:
-                program = parse_program(source)
-            except Exception:
-                return lint_source(source)
-            seed = set(program.main_procedure.params)
-            if counter:
-                seed.add(str(counter))
-            return lint_source(source, initial_state=seed)
-
-        diagnostics = await loop.run_in_executor(None, run_lint)
-        return {
-            "op": "lint",
-            "name": name,
-            "severity": max_severity(diagnostics),
-            "counts": severity_counts(diagnostics),
-            "diagnostics": [diag.to_dict() for diag in diagnostics],
-        }
+    @staticmethod
+    def _tiered(result: JobResult, tier: str) -> Dict[str, object]:
+        return {"status": result.status, "tier": tier,
+                "cached": tier in ("memory", "store"),
+                "result": result.to_record()}
 
     async def _handle_batch(self, payload: Dict[str, object],
                             writer: asyncio.StreamWriter,
                             write_lock: asyncio.Lock) -> None:
         """Fan a batch out and stream each result as it completes."""
         request_id = payload.get("id")
-        raw_jobs = payload.get("jobs")
-        if not isinstance(raw_jobs, list) or not raw_jobs:
-            raise ValueError("'batch' needs a non-empty 'jobs' array")
-        jobs = [_job_from_request(raw, index, self.default_options)
-                for index, raw in enumerate(raw_jobs)]
+        jobs = requests.jobs_from_batch(payload, self.default_options)
         start = time.perf_counter()
         statuses: List[str] = [""] * len(jobs)
 
         async def run_one(index: int, job: AnalysisJob) -> None:
-            response: Dict[str, object]
+            response: Dict[str, object] = {"op": "batch-result",
+                                           "index": index}
             try:
-                result, tier = await self._resolve(job)
-                response = {"op": "batch-result", "index": index,
-                            "status": result.status, "tier": tier,
-                            "cached": tier in ("memory", "store"),
-                            "result": result.to_record()}
+                response.update(self._tiered(*await self._resolve(job)))
             except GatewayBusy as busy:
                 self.stats.busy_rejections += 1
-                response = {"op": "batch-result", "index": index,
-                            "status": "busy", "error": str(busy),
-                            "retry_after": busy.retry_after}
-            except asyncio.CancelledError:
-                raise
+                response.update(busy.answer())
             except Exception as exc:  # noqa: BLE001 -- per-job isolation
                 self.stats.errors += 1
-                response = {"op": "batch-result", "index": index,
-                            "status": "error",
-                            "error": f"{type(exc).__name__}: {exc}"}
+                response.update(status="error",
+                                error=requests.describe_error(exc))
             statuses[index] = str(response["status"])
-            if request_id is not None:
-                response["id"] = request_id
-            await self._send(writer, write_lock, response)
+            await self._send(writer, write_lock,
+                             requests.echo_id(response, request_id))
 
         await asyncio.gather(*(run_one(index, job)
                                for index, job in enumerate(jobs)))
@@ -414,9 +342,8 @@ class AnalysisGateway:
                           if status not in ("ok", "busy")),
             "wall_seconds": round(time.perf_counter() - start, 4),
         }
-        if request_id is not None:
-            summary["id"] = request_id
-        await self._send(writer, write_lock, summary)
+        await self._send(writer, write_lock,
+                         requests.echo_id(summary, request_id))
 
     # -- the tiers ---------------------------------------------------------
 
@@ -427,14 +354,14 @@ class AnalysisGateway:
             hot = self.cache.get(job_hash)
             if hot is not None:
                 self.stats.memory_hits += 1
-                return self._named(hot, job), "memory"
+                return named_for(hot, job), "memory"
         inflight = self._inflight.get(job_hash)
         if inflight is not None:
             self.stats.coalesced += 1
             # shield(): one waiter disconnecting must not cancel the
             # computation every other waiter is attached to.
             result = await asyncio.shield(inflight)
-            return self._named(result, job), "coalesced"
+            return named_for(result, job), "coalesced"
         if self.store is not None:
             loop = asyncio.get_running_loop()
             stored = await loop.run_in_executor(None, self.store.get,
@@ -443,7 +370,7 @@ class AnalysisGateway:
                 self.stats.store_hits += 1
                 if self.cache is not None:
                     self.cache.put(stored)
-                return self._named(stored, job), "store"
+                return named_for(stored, job), "store"
             # The store probe awaited, so another request for the same
             # hash may have registered meanwhile: re-check before
             # registering, else a storm of simultaneous cold duplicates
@@ -454,7 +381,7 @@ class AnalysisGateway:
             if inflight is not None:
                 self.stats.coalesced += 1
                 result = await asyncio.shield(inflight)
-                return self._named(result, job), "coalesced"
+                return named_for(result, job), "coalesced"
         if self._pending >= self.queue_limit:
             raise GatewayBusy(self._retry_after())
         loop = asyncio.get_running_loop()
@@ -465,7 +392,7 @@ class AnalysisGateway:
         self._compute_tasks.add(compute)
         compute.add_done_callback(self._compute_tasks.discard)
         result = await asyncio.shield(future)
-        return self._named(result, job), "computed"
+        return named_for(result, job), "computed"
 
     async def _compute(self, job: AnalysisJob, future: asyncio.Future) -> None:
         """Run one admitted job on a dispatcher thread; resolve every waiter."""
@@ -481,7 +408,7 @@ class AnalysisGateway:
         except Exception as exc:  # noqa: BLE001 -- resolve waiters, always
             result = JobResult(name=job.name, job_hash=job.job_hash,
                                status="error",
-                               message=f"{type(exc).__name__}: {exc}")
+                               message=requests.describe_error(exc))
         finally:
             # The tiers are already populated (_execute_sync writes the
             # store and hot cache before returning), so dropping the
@@ -506,16 +433,8 @@ class AnalysisGateway:
                 return stored
         result = self._run(job)
         self.stats.analyses += 1
-        if self.degrade:
-            result = apply_degradation(job, result, self._run)
-        if self.store is not None:
-            try:
-                self.store.put(result)
-            except OSError as exc:
-                # A failing store degrades the cache, never the response.
-                result.fault_events = list(result.fault_events) + [{
-                    "site": "store.put", "kind": "store-write-error",
-                    "key": job.job_hash, "detail": str(exc)}]
+        result = settle_result(job, result, self._run, self.store,
+                               self.degrade)
         if self.cache is not None:
             self.cache.put(result)
         return result
@@ -524,15 +443,6 @@ class AnalysisGateway:
         if self._pool is not None:
             return self._pool.submit(job)
         return _execute_job(job)
-
-    @staticmethod
-    def _named(result: JobResult, job: AnalysisJob) -> JobResult:
-        """Relabel a shared result under this request's job name."""
-        if result.name == job.name:
-            return result
-        from dataclasses import replace
-
-        return replace(result, name=job.name)
 
     def _retry_after(self) -> float:
         """A busy client's suggested wait: queue depth x recent job wall."""
@@ -545,46 +455,18 @@ class AnalysisGateway:
 
     # -- introspection -----------------------------------------------------
 
-    def _handle_stats(self) -> Dict[str, object]:
-        store_stats = None
-        if self.store is not None:
-            store_stats = self.store.stats.as_dict()
-            store_stats["quarantine_records"] = self.store.quarantine_count()
+    def _transport_view(self) -> Dict[str, object]:
+        """The gateway's own keys of a ``stats``/``health`` answer."""
         return {
-            "op": "stats",
             "gateway": self.stats.as_dict(),
-            "hot_cache": (self.cache.as_dict()
-                          if self.cache is not None else None),
-            "store": store_stats,
-            "pool": (self._pool.describe() if self._pool is not None
-                     else {"workers": 0, "inline": True}),
-            "pending": self._pending,
-            "queue_limit": self.queue_limit,
-        }
-
-    def _handle_health(self) -> Dict[str, object]:
-        from repro.logic.entailment import engine_fingerprint
-        from repro.service import faults
-        from repro.service.jobs import SCHEMA_VERSION
-
-        return {
-            "op": "health",
-            "ok": True,
-            "schema": SCHEMA_VERSION,
             "address": list(self.address) if self.address else None,
             "draining": self._draining,
-            "gateway": self.stats.as_dict(),
             "pending": self._pending,
             "queue_limit": self.queue_limit,
             "pool": (self._pool.describe() if self._pool is not None
                      else {"workers": 0, "inline": True}),
             "hot_cache": (self.cache.as_dict()
                           if self.cache is not None else None),
-            "store": ({"root": self.store.root,
-                       "quarantine_records": self.store.quarantine_count()}
-                      if self.store is not None else None),
-            "engine": engine_fingerprint(),
-            "faults": faults.describe(),
         }
 
     # -- plumbing ----------------------------------------------------------
@@ -809,7 +691,10 @@ class GatewayThread:
     def stop(self, timeout: float = 30.0) -> None:
         if self._loop is not None and self._thread is not None \
                 and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self.gateway.request_shutdown)
+            # A ``shutdown`` request may have closed the loop since the
+            # liveness check: then there is nothing left to stop.
+            with contextlib.suppress(RuntimeError):
+                self._loop.call_soon_threadsafe(self.gateway.request_shutdown)
             self._thread.join(timeout)
 
     def __enter__(self) -> Tuple[str, int]:

@@ -56,7 +56,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.service import faults
@@ -225,7 +225,7 @@ def run_batch(jobs: Sequence[AnalysisJob],
         if config.store is not None and not config.refresh:
             cached = config.store.get(job_hash)
         if cached is not None:
-            outcomes[index] = JobOutcome(job, _named_for(cached, job),
+            outcomes[index] = JobOutcome(job, named_for(cached, job),
                                          cached=True)
         else:
             pending.setdefault(job_hash, []).append(index)
@@ -239,23 +239,17 @@ def run_batch(jobs: Sequence[AnalysisJob],
         executed = _run_on_pool(unique_jobs, config.workers, config.timeout,
                                 policy)
 
+    def rerun(retry_job: AnalysisJob) -> JobResult:
+        if config.workers <= 0:
+            return _execute_job(retry_job)
+        return _run_on_pool([retry_job], 1, config.timeout, policy)[0]
+
     for job_hash, result in zip(ordered_hashes, executed):
-        job = jobs[pending[job_hash][0]]
-        if config.degrade:
-            result = _apply_degradation(job, result, config, policy)
-        if config.store is not None:
-            try:
-                config.store.put(result)
-            except OSError as exc:
-                # A failing store must degrade the cache, not the batch:
-                # the computed result is still delivered, the lost write is
-                # recorded as provenance.
-                result.fault_events = list(result.fault_events) + [{
-                    "site": "store.put", "kind": "store-write-error",
-                    "key": job_hash, "detail": str(exc)}]
+        result = settle_result(jobs[pending[job_hash][0]], result, rerun,
+                               config.store, config.degrade)
         for index in pending[job_hash]:
             outcomes[index] = JobOutcome(jobs[index],
-                                         _named_for(result, jobs[index]),
+                                         named_for(result, jobs[index]),
                                          cached=False)
 
     report = BatchReport(outcomes=[outcome for outcome in outcomes
@@ -265,18 +259,42 @@ def run_batch(jobs: Sequence[AnalysisJob],
     return report
 
 
-def _named_for(result: JobResult, job: AnalysisJob) -> JobResult:
+def named_for(result: JobResult, job: AnalysisJob) -> JobResult:
     """The result relabelled with this job's name.
 
-    Store hits and batch-level dedup reuse one computed result for many
-    input jobs; the payload is content-determined but the name is
-    presentation, so each outcome reports under its own job's name.
+    Store hits, batch-level dedup and the gateway's coalescing reuse one
+    computed result for many jobs; the payload is content-determined but
+    the name is presentation, so each answer reports under its own job's
+    name.
     """
     if result.name == job.name:
         return result
-    from dataclasses import replace
-
     return replace(result, name=job.name)
+
+
+def settle_result(job: AnalysisJob, result: JobResult,
+                  rerun: Callable[[AnalysisJob], JobResult],
+                  store: Optional[ResultStore],
+                  degrade: bool = True) -> JobResult:
+    """The step after a job ran: degrade, then persist.
+
+    Shared by :func:`run_batch` and the gateway.  ``rerun`` executes the
+    degradation ladder's fallback job.  A failing store must degrade the
+    cache, never the answer: the computed result is still returned, and
+    the lost write is recorded as a ``store-write-error`` fault event.
+    Callers name the result for each job that asked for it
+    (:func:`named_for`).
+    """
+    if degrade:
+        result = apply_degradation(job, result, rerun)
+    if store is not None:
+        try:
+            store.put(result)
+        except OSError as exc:
+            result.fault_events = list(result.fault_events) + [{
+                "site": "store.put", "kind": "store-write-error",
+                "key": job.job_hash, "detail": str(exc)}]
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +323,6 @@ def apply_degradation(job: AnalysisJob, result: JobResult,
         "reason": "timeout"})
 
 
-def _apply_degradation(job: AnalysisJob, result: JobResult,
-                       config: SchedulerConfig,
-                       policy: RetryPolicy) -> JobResult:
-    """The batch scheduler's ladder instance (re-runs on a fresh pool)."""
-    return apply_degradation(job, result,
-                             lambda retry_job: _rerun(retry_job, config,
-                                                      policy))
-
-
 def _lower_degree_job(job: AnalysisJob) -> Optional[Tuple[AnalysisJob, int, int]]:
     """The job with its degree budget lowered by one (None when already 1)."""
     options = dict(job.options_dict)
@@ -325,14 +334,6 @@ def _lower_degree_job(job: AnalysisJob) -> Optional[Tuple[AnalysisJob, int, int]
         return None
     options[knob] = lowered
     return AnalysisJob.create(job.name, job.source, options), current, lowered
-
-
-def _rerun(retry_job: AnalysisJob, config: SchedulerConfig,
-           policy: RetryPolicy) -> JobResult:
-    """Execute one degradation-ladder re-run (pool when available)."""
-    if config.workers <= 0:
-        return _execute_job(retry_job)
-    return _run_on_pool([retry_job], 1, config.timeout, policy)[0]
 
 
 def _degraded_result(rerun: JobResult, job: AnalysisJob, original: JobResult,

@@ -1,4 +1,4 @@
-"""``repro serve``: a line-oriented JSON analysis service.
+"""``repro serve``: the stdio transport of the analysis service.
 
 One request per line on stdin, one JSON response per line on stdout -- the
 simplest protocol that lets an external driver (a CI harness, a notebook, a
@@ -12,29 +12,29 @@ Requests::
      "options": {"max_degree": 2}, "name": "mine"}
     {"op": "batch", "id": 2, "workers": 4,
      "jobs": [{"source": "...", "options": {...}, "name": "a"}, ...]}
-    {"op": "stats", "id": 3}
-    {"op": "health", "id": 4}
+    {"op": "lint", "id": 3, "source": "...",
+     "options": {"resource_counter": "cost"}}
+    {"op": "stats", "id": 4}
+    {"op": "health", "id": 5}
     {"op": "ping"}
     {"op": "shutdown"}
 
-Responses mirror the request ``id`` and carry ``status`` plus the full
-:class:`~repro.service.jobs.JobResult` record(s).  ``analyze`` runs inline
-(the per-request latency of spinning up a pool would dwarf a single
-analysis); ``batch`` fans out through the scheduler.
+The protocol itself -- decoding, the error envelope, the ``id`` echo and
+the ``ping``/``lint``/``stats``/``health``/``shutdown`` answers -- is the
+request core (:mod:`repro.service.requests`) that the asyncio gateway
+(:mod:`repro.service.gateway`, ``repro serve --async``) serves too.  This
+module adds the loop: ``analyze`` and ``batch`` run in request order
+through :func:`~repro.service.scheduler.run_batch` (``analyze`` inline, as
+the latency of spinning up a pool would dwarf a single analysis; a batch
+on a pool of the request's ``workers``, bounded by the server's).
 
 The loop is built to outlive its requests: malformed lines and *any*
-per-request exception -- expected validation errors and unexpected bugs
-alike -- produce an ``{"error": ...}`` response and the server keeps
-serving.  A reader that hangs up mid-response (stdout
-``BrokenPipeError``) shuts the loop down cleanly instead of tracing back,
-and the ``health`` op reports pool/store/engine state (plus any active
-fault-injection config) for liveness probes.
-
+per-request exception produce an ``{"error": ...}`` response and the
+server keeps serving.  A reader that hangs up mid-response (stdout
+``BrokenPipeError``) shuts the loop down cleanly instead of tracing back.
 Shutdown is graceful: SIGINT/SIGTERM finish the request in flight (its
 response is still written, and with it any pending store writes), then
-the loop exits 0 instead of tracing back mid-analysis.  The asyncio
-gateway (:mod:`repro.service.gateway`, ``repro serve --async``) is the
-concurrent counterpart of this loop.
+the loop exits 0 instead of tracing back mid-analysis.
 """
 
 from __future__ import annotations
@@ -42,29 +42,12 @@ from __future__ import annotations
 import json
 import signal
 import sys
-from typing import IO, Dict, List, Optional
+from typing import IO, Dict, Optional
 
-from repro.service.jobs import AnalysisJob
-from repro.service.scheduler import SchedulerConfig, run_batch
+from repro.service import requests
+from repro.service.scheduler import (SchedulerConfig, default_worker_count,
+                                     run_batch)
 from repro.service.store import ResultStore
-
-
-def _job_from_request(payload: Dict[str, object], index: int = 0,
-                      defaults: Optional[Dict[str, object]] = None) -> AnalysisJob:
-    source = payload.get("source")
-    if not isinstance(source, str) or not source.strip():
-        raise ValueError("request needs a non-empty 'source' string")
-    options = payload.get("options") or {}
-    if not isinstance(options, dict):
-        raise ValueError("'options' must be an object")
-    if defaults:
-        # Server-level defaults (e.g. ``--degree-limit``) apply underneath
-        # the request's own options; merged options take part in the job
-        # hash, so cached results never alias across different defaults.
-        options = {**defaults, **options}
-    name = payload.get("name")
-    return AnalysisJob.create(str(name) if name else f"request-{index}",
-                              source, options)
 
 
 class _GracefulShutdown(Exception):
@@ -102,70 +85,31 @@ class AnalysisServer:
 
     def handle(self, payload: Dict[str, object]) -> Dict[str, object]:
         op = payload.get("op", "analyze")
-        if op == "ping":
-            return {"op": "ping", "ok": True}
-        if op == "stats":
-            return self._handle_stats()
-        if op == "health":
-            return self._handle_health()
         if op == "analyze":
             return self._handle_analyze(payload)
         if op == "batch":
             return self._handle_batch(payload)
-        if op == "lint":
-            return self._handle_lint(payload)
-        return {"error": f"unknown op {op!r}"}
+        return requests.handle(payload, self.store, self._transport_view)
 
-    def _handle_lint(self, payload: Dict[str, object]) -> Dict[str, object]:
-        """Run the static lint passes over one source text (no analysis)."""
-        from repro.lang.analysis import (lint_source, max_severity,
-                                         severity_counts)
-        from repro.lang.parser import parse_program
-
-        source = payload.get("source")
-        if not isinstance(source, str):
-            raise ValueError("'lint' needs a 'source' string")
-        options = payload.get("options") or {}
-        if not isinstance(options, dict):
-            raise ValueError("'options' must be an object")
-        counter = options.get("resource_counter")
-        try:
-            program = parse_program(source)
-        except Exception:
-            diagnostics = lint_source(source)
-        else:
-            # The resource counter is zero-initialized by convention, so
-            # counter updates are not uninitialized reads.
-            seed = set(program.main_procedure.params)
-            if counter:
-                seed.add(str(counter))
-            diagnostics = lint_source(source, initial_state=seed)
-        return {
-            "op": "lint",
-            "name": str(payload.get("name") or "<request>"),
-            "severity": max_severity(diagnostics),
-            "counts": severity_counts(diagnostics),
-            "diagnostics": [diag.to_dict() for diag in diagnostics],
-        }
+    def _transport_view(self) -> Dict[str, object]:
+        return {"requests_served": self.requests_served,
+                "pool": {"workers": self.workers,
+                         "default_options": self.default_options}}
 
     def _handle_analyze(self, payload: Dict[str, object]) -> Dict[str, object]:
-        job = _job_from_request(payload, self.requests_served,
-                                self.default_options)
+        job = requests.job_from_request(payload, self.requests_served,
+                                        self.default_options)
         report = run_batch([job], SchedulerConfig(workers=0, store=self.store))
         outcome = report.outcomes[0]
         return {"op": "analyze", "status": outcome.result.status,
                 "cached": outcome.cached, "result": outcome.result.to_record()}
 
     def _handle_batch(self, payload: Dict[str, object]) -> Dict[str, object]:
-        raw_jobs = payload.get("jobs")
-        if not isinstance(raw_jobs, list) or not raw_jobs:
-            raise ValueError("'batch' needs a non-empty 'jobs' array")
-        jobs = [_job_from_request(raw, index, self.default_options)
-                for index, raw in enumerate(raw_jobs)]
-        workers = payload.get("workers", self.workers)
+        jobs = requests.jobs_from_batch(payload, self.default_options)
+        workers = self._batch_workers(payload)
         timeout = payload.get("timeout")
         report = run_batch(jobs, SchedulerConfig(
-            workers=int(workers), store=self.store,
+            workers=workers, store=self.store,
             timeout=float(timeout) if timeout is not None else None))
         return {
             "op": "batch",
@@ -176,45 +120,20 @@ class AnalysisServer:
             "cached": [outcome.cached for outcome in report.outcomes],
         }
 
-    def _handle_stats(self) -> Dict[str, object]:
-        from repro.logic.entailment import get_engine
+    def _batch_workers(self, payload: Dict[str, object]) -> int:
+        """The request's pool size, checked before any pool starts.
 
-        store_stats = None
-        if self.store:
-            store_stats = self.store.stats.as_dict()
-            store_stats["quarantine_records"] = self.store.quarantine_count()
-        return {
-            "op": "stats",
-            "requests_served": self.requests_served,
-            "store": store_stats,
-            "engine": get_engine().stats.as_dict(),
-        }
-
-    def _handle_health(self) -> Dict[str, object]:
-        """Liveness/readiness probe: pool config, store and engine state."""
-        from repro.logic.entailment import engine_fingerprint
-        from repro.service import faults
-        from repro.service.jobs import SCHEMA_VERSION
-
-        store_state = None
-        if self.store:
-            store_state = {
-                "root": self.store.root,
-                "records": len(self.store),
-                "quarantine_records": self.store.quarantine_count(),
-                "stats": self.store.stats.as_dict(),
-            }
-        return {
-            "op": "health",
-            "ok": True,
-            "schema": SCHEMA_VERSION,
-            "requests_served": self.requests_served,
-            "pool": {"workers": self.workers,
-                     "default_options": self.default_options},
-            "store": store_state,
-            "engine": engine_fingerprint(),
-            "faults": faults.describe(),
-        }
+        A request may ask for fewer or more processes than the server's
+        ``--workers``, but never more than the larger of that and the
+        host's default fan-out.
+        """
+        workers = payload.get("workers", self.workers)
+        limit = max(self.workers, default_worker_count())
+        if isinstance(workers, bool) or not isinstance(workers, int) \
+                or not 0 <= workers <= limit:
+            raise ValueError(f"'workers' must be an integer in "
+                             f"[0, {limit}], got {workers!r}")
+        return workers
 
     # -- the loop ----------------------------------------------------------
 
@@ -232,39 +151,23 @@ class AnalysisServer:
             line = line.strip()
             if not line:
                 continue
-            response: Dict[str, object]
-            request_id = None
+            request_id = op = None
             try:
-                payload = json.loads(line)
-                if not isinstance(payload, dict):
-                    raise ValueError("request must be a JSON object")
-                request_id = payload.get("id")
-                if payload.get("op") == "shutdown":
-                    response = {"op": "shutdown", "ok": True}
-                    if request_id is not None:
-                        response["id"] = request_id
-                    try:
-                        self._respond(output_stream, response)
-                    except BrokenPipeError:
-                        pass
-                    break
+                payload = requests.decode(line)
+                request_id, op = payload.get("id"), payload.get("op")
                 response = self.handle(payload)
-            except (ValueError, TypeError, KeyError) as exc:
-                response = {"error": str(exc)}
-            except KeyboardInterrupt:
-                raise
             except Exception as exc:  # noqa: BLE001 -- one request must
-                # never take the server down; unexpected failures become a
-                # structured error naming the exception class.
-                response = {"error": f"{type(exc).__name__}: {exc}"}
-            if request_id is not None:
-                response.setdefault("id", request_id)
+                # never take the server down.
+                response = requests.error_response(exc)
             self.requests_served += 1
             try:
-                self._respond(output_stream, response)
+                self._respond(output_stream,
+                              requests.echo_id(response, request_id))
             except BrokenPipeError:
                 # The reader hung up: there is nobody left to answer, so
                 # shut down cleanly instead of tracing back.
+                break
+            if op == "shutdown":
                 break
         return self.requests_served
 

@@ -299,12 +299,18 @@ def test_unknown_code_is_rejected():
         Diagnostic(code="R999", message="nope")
 
 
-def test_lint_program_accepts_initial_state_override():
-    program = parse_program("proc main(n) { cost = cost + n; tick(1); }")
+def test_lint_program_seeds_the_resource_counter():
+    source = "proc main(n) { cost = cost + n; tick(1); }"
+    program = parse_program(source)
     assert "R102" in codes_of(lint_program(program)) \
         or "R101" in codes_of(lint_program(program))
-    seeded = lint_program(program, initial_state={"n", "cost"})
+    seeded = lint_program(program, counter="cost")
     assert codes_of(seeded).isdisjoint({"R101", "R102"})
+    assert lint_source(source, counter="cost") == seeded
+    # The counter joins main's parameters; it does not replace them.
+    assert "R101" in codes_of(lint_program(
+        parse_program("proc main(n) { cost = cost + q; tick(n); }"),
+        counter="cost"))
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +325,7 @@ def test_registry_benchmarks_are_lint_clean():
         benchmark = get_benchmark(name)
         source = benchmark.source_text()
         counter = benchmark.analyzer_options.get("resource_counter")
-        program = parse_program(source)
-        initial = set(program.main_procedure.params)
-        if counter:
-            initial.add(counter)
-        diagnostics = lint_source(source, initial_state=initial)
+        diagnostics = lint_source(source, counter=counter)
         if diagnostics:
             dirty[name] = [diag.format() for diag in diagnostics]
     assert not dirty, f"benchmarks with diagnostics: {dirty}"
@@ -463,34 +465,3 @@ def test_preflight_diagnostics_flow_into_job_results():
     assert "R101" in codes   # param ``n`` is unused, so R103 rides along
     rebuilt = JobResult.from_record(result.to_record())
     assert rebuilt.diagnostics == result.diagnostics
-
-
-def test_gateway_lint_op(tmp_path):
-    from repro.service.gateway import GatewayClient, GatewayThread
-
-    with GatewayThread(workers=0, store=None) as (host, port):
-        with GatewayClient(host, port) as client:
-            response = client.lint("proc main(n) { x = q + 1; }",
-                                   name="demo")
-            assert response["op"] == "lint"
-            assert response["severity"] == "error"
-            assert response["counts"]["error"] == 1
-            codes = [item["code"] for item in response["diagnostics"]]
-            assert "R101" in codes
-            broken = client.lint("proc main( {")
-            assert [item["code"] for item in broken["diagnostics"]] \
-                == ["R001"]
-
-
-def test_stdio_server_lint_op():
-    from repro.service.server import AnalysisServer
-
-    server = AnalysisServer()
-    response = server.handle({
-        "op": "lint",
-        "source": "proc main(n) { cost = cost + n; tick(1); }",
-        "options": {"resource_counter": "cost"},
-    })
-    assert response["op"] == "lint"
-    assert response["severity"] is None
-    assert response["diagnostics"] == []

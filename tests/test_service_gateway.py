@@ -51,11 +51,6 @@ def gateway(tmp_path):
 
 
 class TestOps:
-    def test_ping(self, gateway):
-        host, port, _ = gateway
-        with GatewayClient(host, port) as client:
-            assert client.ping() == {"op": "ping", "ok": True}
-
     def test_health_shape(self, gateway):
         host, port, _ = gateway
         with GatewayClient(host, port) as client:
@@ -73,29 +68,6 @@ class TestOps:
         assert stats["gateway"]["analyses"] == 1
         assert stats["queue_limit"] >= 1
         assert stats["store"]["writes"] == 1
-
-    def test_unknown_op_is_an_error(self, gateway):
-        host, port, _ = gateway
-        with GatewayClient(host, port) as client:
-            response = client.request({"op": "frobnicate", "id": 9})
-        assert "unknown op" in response["error"]
-        assert response["id"] == 9
-
-    def test_malformed_line_is_an_error_not_a_crash(self, gateway):
-        host, port, _ = gateway
-        with GatewayClient(host, port) as client:
-            client._writer.write("this is not json\n")
-            client._writer.flush()
-            response = client.read()
-            assert "error" in response
-            # The connection survives the bad line.
-            assert client.ping()["ok"] is True
-
-    def test_missing_source_is_an_error(self, gateway):
-        host, port, _ = gateway
-        with GatewayClient(host, port) as client:
-            response = client.request({"op": "analyze"})
-        assert "source" in response["error"]
 
 
 class TestTiers:
@@ -214,11 +186,32 @@ class TestBatchStreaming:
         assert "jobs" in response["error"]
 
 
+def _hold_runs(gateway, monkeypatch):
+    """Gate the gateway's job execution on an event.
+
+    Returns ``(started, release)``: ``started`` is set once a job is
+    executing (admitted, counted in ``_pending``) and the job stays there
+    until the test sets ``release`` -- no race against a fast analysis.
+    """
+    started, release = threading.Event(), threading.Event()
+    run = gateway._run
+
+    def held(job):
+        started.set()
+        assert release.wait(30), "test never released the held job"
+        return run(job)
+
+    monkeypatch.setattr(gateway, "_run", held)
+    return started, release
+
+
 class TestBackpressure:
-    def test_queue_full_answers_busy_with_retry_after(self, tmp_path):
+    def test_queue_full_answers_busy_with_retry_after(self, tmp_path,
+                                                      monkeypatch):
         thread = GatewayThread(store=ResultStore(str(tmp_path)), workers=0,
                                queue_limit=1, hot_cache_size=8)
         host, port = thread.start()
+        started, release = _hold_runs(thread.gateway, monkeypatch)
         try:
             slow_response = {}
 
@@ -228,27 +221,30 @@ class TestBackpressure:
 
             slow_thread = threading.Thread(target=slow_request)
             slow_thread.start()
-            # Give the slow job time to be admitted (pending == limit).
-            deadline = time.time() + 5.0
-            while thread.gateway._pending < 1 and time.time() < deadline:
-                time.sleep(0.005)
+            assert started.wait(30)
+            # The held job fills the queue (pending == limit) until released.
             with GatewayClient(host, port) as client:
                 busy = client.analyze(_variant(3))
-            slow_thread.join()
+            release.set()
+            slow_thread.join(timeout=30)
+            assert not slow_thread.is_alive()
             assert busy["status"] == "busy"
             assert busy["retry_after"] > 0
             assert "retry" in busy["error"]
             assert slow_response["status"] == "ok"
             assert thread.gateway.stats.busy_rejections == 1
         finally:
+            release.set()
             thread.stop()
 
 
 class TestGracefulShutdown:
-    def test_shutdown_op_drains_inflight_requests(self, tmp_path):
+    def test_shutdown_op_drains_inflight_requests(self, tmp_path,
+                                                  monkeypatch):
         thread = GatewayThread(store=ResultStore(str(tmp_path)), workers=0,
                                hot_cache_size=8)
         host, port = thread.start()
+        started, release = _hold_runs(thread.gateway, monkeypatch)
         slow_response = {}
 
         def slow_request():
@@ -257,12 +253,22 @@ class TestGracefulShutdown:
 
         slow_thread = threading.Thread(target=slow_request)
         slow_thread.start()
-        deadline = time.time() + 5.0
-        while thread.gateway._pending < 1 and time.time() < deadline:
-            time.sleep(0.005)
-        with GatewayClient(host, port) as client:
-            assert client.shutdown()["ok"] is True
+        try:
+            assert started.wait(30)
+            with GatewayClient(host, port) as client:
+                assert client.shutdown()["ok"] is True
+            # The gateway is draining, held open by the in-flight job.
+            deadline = time.monotonic() + 30
+            while not thread.gateway._draining \
+                    and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert thread.gateway._draining
+            assert thread._thread.is_alive()
+            assert not slow_response
+        finally:
+            release.set()
         slow_thread.join(timeout=30)
+        assert not slow_thread.is_alive()
         # The in-flight analysis still completed and was delivered.
         assert slow_response["status"] == "ok"
         thread._thread.join(timeout=30)

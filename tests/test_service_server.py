@@ -1,8 +1,15 @@
-"""Tests for the JSON-lines analysis server."""
+"""Tests for the stdio transport (``repro serve``).
+
+The protocol cases both transports share are in ``test_service_protocol.py``.
+"""
 
 import io
 import json
 
+import pytest
+
+from repro.service import scheduler as scheduler_module
+from repro.service.scheduler import default_worker_count
 from repro.service.server import AnalysisServer
 from repro.service.store import ResultStore
 
@@ -25,10 +32,6 @@ def _run(requests, store=None, workers=0):
 
 
 class TestProtocol:
-    def test_ping(self):
-        responses = _run([{"op": "ping"}])
-        assert responses == [{"op": "ping", "ok": True}]
-
     def test_analyze_request(self):
         responses = _run([{"id": 7, "source": RDWALK}])
         (response,) = responses
@@ -45,21 +48,6 @@ class TestProtocol:
     def test_parse_error_is_structured(self):
         responses = _run([{"source": "proc main( {"}])
         assert responses[0]["status"] == "parse-error"
-
-    def test_malformed_line_reports_error(self):
-        server = AnalysisServer()
-        stdin = io.StringIO("this is not json\n")
-        stdout = io.StringIO()
-        server.serve(stdin, stdout)
-        assert "error" in json.loads(stdout.getvalue())
-
-    def test_missing_source_reports_error(self):
-        responses = _run([{"op": "analyze"}])
-        assert "error" in responses[0]
-
-    def test_unknown_op(self):
-        responses = _run([{"op": "frobnicate"}])
-        assert "error" in responses[0]
 
     def test_shutdown_stops_the_loop(self):
         responses = _run([{"op": "shutdown", "id": 1},
@@ -103,3 +91,37 @@ class TestStoreAndBatch:
         assert stats["requests_served"] == 1
         assert stats["store"]["writes"] == 1
         assert "queries" in stats["engine"]
+
+
+class TestBatchWorkers:
+    """The request's ``workers`` is checked before any pool starts."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(scheduler_module, "_run_on_pool", refuse)
+        monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("workers", [10 ** 6, -1, 2.5, "4", True, None])
+    def test_bad_workers_is_an_error_and_starts_no_pool(self, no_pool,
+                                                         workers):
+        limit = max(1, default_worker_count())
+        (response,) = _run([{"op": "batch", "id": 4, "workers": workers,
+                             "jobs": [{"source": RDWALK}] * 3}], workers=1)
+        assert response == {
+            "error": f"'workers' must be an integer in [0, {limit}], "
+                     f"got {workers!r}",
+            "id": 4}
+
+    def test_limit_is_the_larger_of_server_and_default(self, no_pool):
+        limit = default_worker_count() + 3
+        (response,) = _run([{"op": "batch", "workers": limit + 1,
+                             "jobs": [{"source": RDWALK}]}], workers=limit)
+        assert f"[0, {limit}]" in response["error"]
+
+    def test_inline_batch_within_the_limit_runs(self, no_pool):
+        (response,) = _run([{"op": "batch", "workers": 0,
+                             "jobs": [{"source": RDWALK}]}], workers=2)
+        assert [r["status"] for r in response["results"]] == ["ok"]
